@@ -51,16 +51,11 @@ from .linalg import (
     EigenSolverError,
     LinearAlgebraError,
     NumericalBreakdownError,
-    SingularMatrixError,
     ToleranceConfig,
     adjoint,
     as_matrix,
     determinant,
     eigenvalues,
-    inner,
-    mat_mul,
-    solve_linear,
-    transpose,
     unit_eigenvector,
 )
 from .oracle import (
@@ -69,7 +64,6 @@ from .oracle import (
     OracleVerdict,
     brute_force_uecsm,
     cartesian_parts,
-    direct_sum_zero,
     nilpotent3_verdict,
     random_unitary,
     tener_applicable,
@@ -80,7 +74,6 @@ from .spectral import (
     SpectralData,
     assert_distinct_spectrum,
     compute_spectral_data,
-    expand_in_eigenbasis,
 )
 
 __version__ = "0.1.0"
@@ -97,13 +90,12 @@ __all__ = [
     "serialize_matrix_document", "serialize_report_document",
     "FIXTURE_GROUPS", "Fixture", "family_member", "find_fixture",
     "DEFAULT_TOLERANCES", "EigenSolverError", "LinearAlgebraError",
-    "NumericalBreakdownError", "SingularMatrixError", "ToleranceConfig",
-    "adjoint", "as_matrix", "determinant", "eigenvalues", "inner", "mat_mul",
-    "solve_linear", "transpose", "unit_eigenvector",
+    "NumericalBreakdownError", "ToleranceConfig",
+    "adjoint", "as_matrix", "determinant", "eigenvalues", "unit_eigenvector",
     "ORACLE_TOL", "OracleOutcome", "OracleVerdict", "brute_force_uecsm",
-    "cartesian_parts", "direct_sum_zero", "nilpotent3_verdict",
+    "cartesian_parts", "nilpotent3_verdict",
     "random_unitary", "tener_applicable",
     "SearchHit", "SearchResult", "candidate_matrix", "run_search",
     "NotApplicable", "SpectralData", "assert_distinct_spectrum",
-    "compute_spectral_data", "expand_in_eigenbasis",
+    "compute_spectral_data",
 ]

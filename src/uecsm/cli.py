@@ -124,7 +124,7 @@ def cmd_classify(args) -> int:
         oracle = None
         if args.oracle:
             oracle = brute_force_uecsm(doc.matrix(), restarts=args.restarts,
-                                       cfg=cfg, seed=args.seed)
+                                       seed=args.seed)
     except LinearAlgebraError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -242,7 +242,7 @@ def cmd_fixtures(args) -> int:
             if (fx.oracle_expected is not None
                     and fx.expected_final == "NotApplicable"):
                 verdict = brute_force_uecsm(fx.matrix(), restarts=args.restarts,
-                                            cfg=cfg, seed=args.seed)
+                                            seed=args.seed)
                 expected = (OracleOutcome.UECSM if fx.oracle_expected
                             else OracleOutcome.NOT_UECSM)
                 text, ok = _check(fx.label, f"oracle {verdict.outcome.value}",

@@ -175,13 +175,14 @@ def extract_alpha(b: BetaMatrix) -> np.ndarray:
     return b.entries[0, :].copy()
 
 
-def build_s(sd: SpectralData, alpha) -> np.ndarray:
+def build_s(sd: SpectralData, alpha,
+            cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """S = U diag(alpha_i / e_i) U^t = sum_i (alpha_i / e_i) u_i u_i^t."""
     al = np.asarray(alpha, dtype=np.complex128).ravel()
     if al.shape[0] != sd.n:
         raise ValueError(f"alpha length {al.shape[0]} != dimension {sd.n}")
     e_floor = float(np.abs(sd.e_diag).min())
-    if e_floor <= DEFAULT_TOLERANCES.zero_tol:
+    if e_floor <= cfg.zero_tol:
         # Cannot occur for SpectralData that passed extraction; defensive.
         raise LinearAlgebraError(
             f"e_diag entry of modulus {e_floor:.3e} is too small to divide by")

@@ -5,8 +5,8 @@ product convention is linear in the *first* argument,
 
     <x, y> = y* x = sum_k conj(y_k) x_k,
 
-so ``inner(x, y) == np.vdot(y, x)``.  Getting this backwards silently
-conjugates every Gram matrix, which the criteria tests do notice.
+which is ``np.vdot(y, x)``.  Getting this backwards silently conjugates
+every Gram matrix, which the criteria tests do notice.
 
 Eigenvalues and determinants are delegated to LAPACK (Hessenberg + shifted
 QR, and LU with partial pivoting respectively); the two routes share no
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -33,10 +32,6 @@ _MAX_INVERSE_STEPS = 6
 
 class LinearAlgebraError(Exception):
     """Base class for numerical failures raised by this package."""
-
-
-class SingularMatrixError(LinearAlgebraError):
-    """Linear system is singular to working tolerance."""
 
 
 class EigenSolverError(LinearAlgebraError):
@@ -86,21 +81,8 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def inner(x, y) -> complex:
-    """<x, y> = y* x, linear in the first argument."""
-    return complex(np.vdot(y, x))
-
-
-def mat_mul(a, b) -> np.ndarray:
-    return np.asarray(a, dtype=np.complex128) @ np.asarray(b, dtype=np.complex128)
-
-
 def adjoint(m) -> np.ndarray:
     return np.asarray(m, dtype=np.complex128).conj().T
-
-
-def transpose(m) -> np.ndarray:
-    return np.asarray(m, dtype=np.complex128).T
 
 
 def determinant(m) -> complex:
@@ -118,8 +100,8 @@ def eigenvalues(m) -> np.ndarray:
     return lam[order]
 
 
-def unit_eigenvector(m, lam: complex, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
+def unit_eigenvector(m, lam: complex, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *,
+                     rng: np.random.Generator) -> np.ndarray:
     """Unit eigenvector of ``m`` for the (accurate) eigenvalue ``lam``.
 
     Inverse iteration with the shift perturbed by 1e-12 * ||m|| so the
@@ -129,8 +111,6 @@ def unit_eigenvector(m, lam: complex, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     a = as_matrix(m)
     n = a.shape[0]
     scale = float(np.linalg.norm(a))
-    if rng is None:
-        rng = np.random.default_rng()
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
     if scale == 0.0:
@@ -160,16 +140,3 @@ def unit_eigenvector(m, lam: complex, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
             f"inverse iteration stalled at residual {residual:.3e} "
             f"(bound {cfg.zero_tol * scale:.3e}) for eigenvalue {lam}")
     return x
-
-
-def solve_linear(a, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Solve a x = b, rejecting systems that are singular to tolerance."""
-    am = as_matrix(a)
-    bv = np.asarray(b, dtype=np.complex128)
-    lu, piv = scipy.linalg.lu_factor(am, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    floor = cfg.zero_tol * max(float(np.linalg.norm(am)), _EPS)
-    if pivots.min() <= floor:
-        raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below singularity floor {floor:.3e}")
-    return scipy.linalg.lu_solve((lu, piv), bv, check_finite=False)

@@ -30,8 +30,7 @@ at or below oracle_tol; NotUECSM additionally requires a factor-10 margin
 after the full restart budget; the strip in between is Inconclusive.
 
 Smaller tools in the same spirit: the exact verdict for 3x3 nilpotent
-matrices with superdiagonal (a, b) (UECSM iff ab = 0 or |a| = |b|), the
-direct sum with a zero block (which never changes UECSM membership), and
+matrices with superdiagonal (a, b) (UECSM iff ab = 0 or |a| = |b|), and
 the Cartesian split T = A + iB into Hermitian parts, whose separate spectra
 determine whether the cross-Gramian applicability condition holds (both A
 and B must have distinct spectra).
@@ -129,7 +128,6 @@ def brute_force_uecsm(
     t,
     restarts: int = 32,
     max_iters: int = 2000,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     seed: int = 0,
     oracle_tol: float = ORACLE_TOL,
 ) -> OracleVerdict:
@@ -175,17 +173,6 @@ def nilpotent3_verdict(a: complex, b: complex,
     if abs(a) <= cfg.zero_tol or abs(b) <= cfg.zero_tol:
         return True
     return bool(abs(abs(a) - abs(b)) <= cfg.match_tol)
-
-
-def direct_sum_zero(t, k: int) -> np.ndarray:
-    """T (+) 0_k; appending a zero block never changes UECSM membership."""
-    a = as_matrix(t)
-    if k < 0:
-        raise ValueError("zero block size must be nonnegative")
-    n = a.shape[0]
-    out = np.zeros((n + k, n + k), dtype=np.complex128)
-    out[:n, :n] = a
-    return out
 
 
 def cartesian_parts(t) -> tuple[np.ndarray, np.ndarray]:

@@ -18,11 +18,6 @@ eps**(1/3) * ||T||, far above any reasonable gap tolerance).
 Each vector carries an arbitrary unimodular phase.  Everything consumed
 downstream is either phase-invariant or covariant in a controlled way, and
 the criteria tests are checked for exactly this invariance.
-
-Every x in C^n expands against either basis:
-
-    x = sum_j ( <x, v_j> / <u_j, v_j> ) u_j
-      = sum_j ( <x, u_j> / <v_j, u_j> ) v_j.
 """
 
 from __future__ import annotations
@@ -197,19 +192,3 @@ def compute_spectral_data(
             f"biorthogonality violated: max |<u_i, v_j>| = {max_off:.3e} "
             f"for i != j exceeds zero_tol = {cfg.zero_tol:.3e}")
     return SpectralData(lambdas=lam, u_basis=u, v_basis=v, e_diag=e_diag)
-
-
-def expand_in_eigenbasis(x, sd: SpectralData, which: str = "u") -> np.ndarray:
-    """Coefficients of ``x`` in the chosen eigenvector basis.
-
-    which="u": x = sum_j c_j u_j with c_j = <x, v_j> / <u_j, v_j>;
-    which="v": x = sum_j c_j v_j with c_j = <x, u_j> / <v_j, u_j>.
-    """
-    xv = np.asarray(x, dtype=np.complex128).ravel()
-    if xv.shape[0] != sd.n:
-        raise ValueError(f"vector length {xv.shape[0]} != dimension {sd.n}")
-    if which == "u":
-        return (sd.v_basis.conj().T @ xv) / sd.e_diag
-    if which == "v":
-        return (sd.u_basis.conj().T @ xv) / np.conj(sd.e_diag)
-    raise ValueError(f"which must be 'u' or 'v', got {which!r}")

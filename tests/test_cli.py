@@ -7,9 +7,14 @@ and fixtures exits nonzero only on a verdict mismatch.
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uecsm
 from uecsm.cli import (
     EXIT_BAD_INPUT,
     EXIT_NOT_APPLICABLE,
@@ -179,6 +184,18 @@ class TestFixtures:
     def test_unknown_group_rejected(self):
         with pytest.raises(SystemExit):
             main(["fixtures", "--only", "no-such-group"])
+
+
+class TestImport:
+    def test_cli_loads_no_scipy(self):
+        # A fresh interpreter, so modules imported by other tests do not count.
+        src = str(Path(uecsm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, uecsm.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestParser:

@@ -24,8 +24,9 @@ from uecsm.conjugation import (
     extract_alpha,
     verify_certificate,
 )
-from uecsm.criteria import classify
+from uecsm.criteria import FinalVerdict, classify
 from uecsm.fixtures import CLOSED_FORM_S, CLOSED_FORM_VECTORS, find_fixture
+from uecsm.linalg import ToleranceConfig
 from uecsm.spectral import SpectralData, compute_spectral_data
 
 T_CLOSED = find_fixture("closed-form-s").matrix()
@@ -144,6 +145,14 @@ class TestBuildS:
     def test_wrong_alpha_length_raises(self):
         with pytest.raises(ValueError):
             build_s(pinned_data(), [1, 1])
+
+    def test_honours_caller_zero_tol(self):
+        # min |e_i| = 3e-10 clears zero_tol = 1e-13 but not the default 1e-9;
+        # the eigensystem accepted it, so building S must too.
+        cfg = ToleranceConfig(zero_tol=1e-13)
+        report = classify([[0, 1, 0], [0, 0, 1], [1e-15, 0, 0]], cfg)
+        assert report.final is FinalVerdict.UECSM
+        assert report.certificate.beta_min_divisor == pytest.approx(3e-10, rel=1e-6)
 
 
 class TestVerifyCertificate:

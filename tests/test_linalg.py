@@ -1,8 +1,7 @@
 """Unit tests for the dense linear algebra primitives and tolerance policy.
 
-The inner product convention (linear in the first argument) and the
-eigenvalue ordering (ascending lexicographic by real then imaginary part)
-are load-bearing for everything downstream, so they get pinned here.
+The eigenvalue ordering (ascending lexicographic by real then imaginary
+part) is load-bearing for everything downstream, so it gets pinned here.
 """
 
 import dataclasses
@@ -14,41 +13,13 @@ from uecsm.linalg import (
     DEFAULT_TOLERANCES,
     EigenSolverError,
     LinearAlgebraError,
-    SingularMatrixError,
     ToleranceConfig,
     adjoint,
     as_matrix,
     determinant,
     eigenvalues,
-    inner,
-    mat_mul,
-    solve_linear,
-    transpose,
     unit_eigenvector,
 )
-
-
-class TestInnerProduct:
-    def test_matches_vdot_convention(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            assert inner(x, y) == pytest.approx(complex(np.vdot(y, x)))
-
-    def test_linear_in_first_argument(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        a = 2.0 - 3.0j
-        assert inner(a * x, y) == pytest.approx(a * inner(x, y))
-        assert inner(x, a * y) == pytest.approx(np.conj(a) * inner(x, y))
-
-    def test_norm_squared_on_diagonal(self):
-        x = np.array([1 + 2j, -3j, 0.5])
-        value = inner(x, x)
-        assert value.imag == pytest.approx(0.0)
-        assert value.real == pytest.approx(np.linalg.norm(x) ** 2)
 
 
 class TestAsMatrix:
@@ -132,35 +103,13 @@ class TestUnitEigenvector:
             unit_eigenvector(a, 1000.0, rng=np.random.default_rng(0))
 
 
-class TestSolveLinear:
-    def test_matches_reference_solver(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        np.testing.assert_allclose(solve_linear(a, b), np.linalg.solve(a, b),
-                                   atol=1e-10)
-
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-    def test_singular_system_raises(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularMatrixError):
-            solve_linear(a, np.array([1.0, 0.0]))
-
-    def test_error_hierarchy(self):
-        assert issubclass(SingularMatrixError, LinearAlgebraError)
-        assert issubclass(EigenSolverError, LinearAlgebraError)
-
-
 class TestHelpers:
-    def test_transpose_and_adjoint(self):
+    def test_adjoint(self):
         m = np.array([[1 + 1j, 2], [3, 4 - 1j]])
-        np.testing.assert_allclose(transpose(m), m.T)
         np.testing.assert_allclose(adjoint(m), m.conj().T)
 
-    def test_mat_mul(self):
-        a = np.array([[0, 1], [1, 0]])
-        b = np.array([[1j, 0], [0, -1j]])
-        np.testing.assert_allclose(mat_mul(a, b), a @ b.astype(complex))
+    def test_error_hierarchy(self):
+        assert issubclass(EigenSolverError, LinearAlgebraError)
 
 
 class TestToleranceConfig:

@@ -16,7 +16,6 @@ from uecsm.spectral import (
     SpectralData,
     assert_distinct_spectrum,
     compute_spectral_data,
-    expand_in_eigenbasis,
 )
 
 
@@ -142,26 +141,3 @@ class TestFromBases:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             SpectralData.from_bases([1.0, 2.0], np.eye(3), np.eye(3))
-
-
-class TestExpandInEigenbasis:
-    def test_reconstruction_both_bases(self, closed_form_data):
-        rng = np.random.default_rng(5)
-        sd = closed_form_data
-        for _ in range(10):
-            x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            cu = expand_in_eigenbasis(x, sd, which="u")
-            cv = expand_in_eigenbasis(x, sd, which="v")
-            np.testing.assert_allclose(sd.u_basis @ cu, x, atol=1e-10)
-            np.testing.assert_allclose(sd.v_basis @ cv, x, atol=1e-10)
-
-    def test_eigenvector_expands_to_unit_coefficient(self, closed_form_data):
-        sd = closed_form_data
-        c = expand_in_eigenbasis(sd.u_basis[:, 1], sd, which="u")
-        np.testing.assert_allclose(c, [0, 1, 0], atol=1e-12)
-
-    def test_bad_arguments(self, closed_form_data):
-        with pytest.raises(ValueError):
-            expand_in_eigenbasis(np.ones(4), closed_form_data)
-        with pytest.raises(ValueError):
-            expand_in_eigenbasis(np.ones(3), closed_form_data, which="w")
