@@ -38,7 +38,6 @@ from .criteria import (
 from .documents import (
     DocumentError,
     MatrixDocument,
-    ReportDocument,
     build_report_document,
     parse_matrix_document,
     parse_report_document,
@@ -85,7 +84,7 @@ __all__ = [
     "ClassificationReport", "FinalVerdict", "Outcome", "TestVerdict",
     "Witness", "angle_test", "classify", "gram_pair", "grammian_test",
     "parallelepiped_test", "strong_angle_test",
-    "DocumentError", "MatrixDocument", "ReportDocument",
+    "DocumentError", "MatrixDocument",
     "build_report_document", "parse_matrix_document", "parse_report_document",
     "serialize_matrix_document", "serialize_report_document",
     "FIXTURE_GROUPS", "Fixture", "family_member", "find_fixture",

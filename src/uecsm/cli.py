@@ -14,6 +14,7 @@ verdict and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .criteria import FinalVerdict, Outcome, classify
 from .documents import (
+    FORMAT_VERSION,
     DocumentError,
     MatrixDocument,
     build_report_document,
@@ -143,6 +145,11 @@ def cmd_classify(args) -> int:
                 print(f"warning: oracle disagrees with criteria verdict "
                       f"({oracle.outcome.value} vs {criteria_says})",
                       file=sys.stderr)
+    cert = report.certificate
+    if cert is not None and not cert.is_valid(cfg):
+        print(f"warning: UECSM verdict is not certified: worst certificate "
+              f"residual {max(cert.residuals()):.3e} exceeds match_tol "
+              f"{cfg.match_tol:.3e}", file=sys.stderr)
     if args.json is not None:
         rdoc = build_report_document(report, n=doc.n, label=doc.label,
                                      cfg=cfg, seed=args.seed, oracle=oracle)
@@ -196,9 +203,8 @@ def cmd_search(args) -> int:
     print(f"hits: {len(result.hits)}"
           + (f" -> {', '.join(hit_files)}" if hit_files else ""))
     if args.json is not None:
-        import json as _json
         summary = {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "seed": args.seed,
             "count": args.count,
             "dim": args.dim,
@@ -210,7 +216,7 @@ def cmd_search(args) -> int:
             "hit_indices": [hit.index for hit in result.hits],
             "hit_files": hit_files,
         }
-        Path(args.json).write_text(_json.dumps(summary, indent=2) + "\n")
+        Path(args.json).write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 
 

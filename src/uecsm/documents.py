@@ -9,11 +9,13 @@ checked on input; this module reads and writes version 1.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
-from .criteria import ClassificationReport
+from .conjugation import ConjugationCertificate
+from .criteria import ClassificationReport, TestVerdict, Witness
 from .linalg import ToleranceConfig
 from .oracle import OracleVerdict
 
@@ -58,9 +60,21 @@ def _pair_to_complex(value, where: str) -> complex:
     return complex(float(value[0]), float(value[1]))
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def _encode(value):
+    """JSON tree of ``value``: complex scalars and arrays become [re, im]
+    pairs, tuples become lists, dataclasses become objects keyed by field in
+    declaration order, and enums become their value."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.ndarray):
+        return _encode(value.astype(np.complex128).tolist())
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 # ---------------------------------------------------------------- matrices
@@ -118,55 +132,31 @@ def serialize_matrix_document(doc: MatrixDocument) -> str:
         "format_version": FORMAT_VERSION,
         "label": doc.label,
         "n": doc.n,
-        "entries": [[_complex_to_pair(z) for z in row] for row in doc.entries],
+        "entries": _encode(doc.entries),
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 # ----------------------------------------------------------------- reports
+#
+# A report document is the JSON tree below, kept as plain dicts and lists.
+# Its sections take their keys, in declaration order, from the core
+# dataclasses: ToleranceConfig, TestVerdict with its Witness flattened in,
+# ConjugationCertificate and OracleVerdict.
 
-@dataclass(frozen=True)
-class VerdictRecord:
-    kind: str
-    outcome: str
-    indices: tuple[int, ...] | None = None
-    left: complex | None = None
-    right: complex | None = None
-    discrepancy: float | None = None
-
-
-@dataclass(frozen=True)
-class CertificateRecord:
-    s: tuple[tuple[complex, ...], ...]
-    alphas: tuple[complex, ...]
-    residual_symmetry: float
-    residual_unitarity: float
-    residual_intertwine: float
-    residual_eigvec: float
-    beta_min_divisor: float | None = None
+_REPORT_KEYS = ("label", "n", "seed", "tolerances", "final", "reason",
+                "spectrum", "verdicts", "certificate", "oracle")
+_WITNESS_KEYS = tuple(f.name for f in fields(Witness))
+_VERDICT_KEYS = tuple(f.name for f in fields(TestVerdict)
+                      if f.name != "witness") + _WITNESS_KEYS
+_CERTIFICATE_KEYS = tuple(f.name for f in fields(ConjugationCertificate))
+_ORACLE_KEYS = tuple(f.name for f in fields(OracleVerdict))
 
 
-@dataclass(frozen=True)
-class OracleRecord:
-    outcome: str
-    best_residual: float
-    restarts_used: int
-
-
-@dataclass(frozen=True)
-class ReportDocument:
-    """Everything a classification run produced, in serializable form."""
-
-    label: str | None
-    n: int
-    seed: int
-    tolerances: ToleranceConfig
-    final: str
-    reason: str | None
-    spectrum: tuple[complex, ...] | None
-    verdicts: tuple[VerdictRecord, ...]
-    certificate: CertificateRecord | None = None
-    oracle: OracleRecord | None = None
+def _verdict_entry(tv: TestVerdict) -> dict:
+    entry = _encode(tv)
+    witness = entry.pop("witness") or dict.fromkeys(_WITNESS_KEYS)
+    return {**entry, **witness}
 
 
 def build_report_document(
@@ -177,153 +167,70 @@ def build_report_document(
     cfg: ToleranceConfig | None = None,
     seed: int = 0,
     oracle: OracleVerdict | None = None,
-) -> ReportDocument:
+) -> dict:
+    """The version-1 JSON tree of everything a classification run produced."""
     cfg = cfg if cfg is not None else ToleranceConfig()
-    verdicts = []
-    for tv in report.verdicts:
-        w = tv.witness
-        verdicts.append(VerdictRecord(
-            kind=tv.kind,
-            outcome=tv.outcome.value,
-            indices=tuple(w.indices) if w is not None else None,
-            left=complex(w.left) if w is not None else None,
-            right=complex(w.right) if w is not None else None,
-            discrepancy=float(w.discrepancy) if w is not None else None,
-        ))
-    spectrum = None
-    if report.spectrum is not None:
-        spectrum = tuple(complex(z) for z in report.spectrum)
-    certificate = None
-    if report.certificate is not None:
-        cert = report.certificate
-        certificate = CertificateRecord(
-            s=tuple(tuple(complex(z) for z in row) for row in cert.s),
-            alphas=tuple(complex(z) for z in cert.alphas),
-            residual_symmetry=cert.residual_symmetry,
-            residual_unitarity=cert.residual_unitarity,
-            residual_intertwine=cert.residual_intertwine,
-            residual_eigvec=cert.residual_eigvec,
-            beta_min_divisor=cert.beta_min_divisor,
-        )
-    oracle_record = None
-    if oracle is not None:
-        oracle_record = OracleRecord(
-            outcome=oracle.outcome.value,
-            best_residual=oracle.best_residual,
-            restarts_used=oracle.restarts_used,
-        )
     reason = report.not_applicable.reason if report.not_applicable else None
-    return ReportDocument(
-        label=label,
-        n=n,
-        seed=seed,
-        tolerances=cfg,
-        final=report.final.value,
-        reason=reason,
-        spectrum=spectrum,
-        verdicts=tuple(verdicts),
-        certificate=certificate,
-        oracle=oracle_record,
-    )
-
-
-def serialize_report_document(doc: ReportDocument) -> str:
-    payload = {
+    return {
         "format_version": FORMAT_VERSION,
-        "label": doc.label,
-        "n": doc.n,
-        "seed": doc.seed,
-        "tolerances": asdict(doc.tolerances),
-        "final": doc.final,
-        "reason": doc.reason,
-        "spectrum": ([_complex_to_pair(z) for z in doc.spectrum]
-                     if doc.spectrum is not None else None),
-        "verdicts": [
-            {
-                "kind": v.kind,
-                "outcome": v.outcome,
-                "indices": list(v.indices) if v.indices is not None else None,
-                "left": _complex_to_pair(v.left) if v.left is not None else None,
-                "right": _complex_to_pair(v.right) if v.right is not None else None,
-                "discrepancy": v.discrepancy,
-            }
-            for v in doc.verdicts
-        ],
-        "certificate": None,
-        "oracle": None,
+        "label": label,
+        "n": n,
+        "seed": seed,
+        "tolerances": _encode(cfg),
+        "final": report.final.value,
+        "reason": reason,
+        "spectrum": _encode(report.spectrum),
+        "verdicts": [_verdict_entry(tv) for tv in report.verdicts],
+        "certificate": _encode(report.certificate),
+        "oracle": _encode(oracle),
     }
-    if doc.certificate is not None:
-        cert = doc.certificate
-        payload["certificate"] = {
-            "s": [[_complex_to_pair(z) for z in row] for row in cert.s],
-            "alphas": [_complex_to_pair(z) for z in cert.alphas],
-            "residual_symmetry": cert.residual_symmetry,
-            "residual_unitarity": cert.residual_unitarity,
-            "residual_intertwine": cert.residual_intertwine,
-            "residual_eigvec": cert.residual_eigvec,
-            "beta_min_divisor": cert.beta_min_divisor,
-        }
-    if doc.oracle is not None:
-        payload["oracle"] = {
-            "outcome": doc.oracle.outcome,
-            "best_residual": doc.oracle.best_residual,
-            "restarts_used": doc.oracle.restarts_used,
-        }
-    return json.dumps(payload, indent=2) + "\n"
 
 
-def parse_report_document(text: str) -> ReportDocument:
+def serialize_report_document(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _require(section, keys) -> None:
+    for key in keys:
+        section[key]
+
+
+def _check_pairs(values, where: str) -> None:
+    for value in values:
+        _pair_to_complex(value, where)
+
+
+def parse_report_document(text: str) -> dict:
+    """Validate a report document and return its JSON tree.
+
+    Every section must carry all its keys; ``[re, im]`` pairs, tolerances
+    and witness indices are checked.  ``parse(serialize(doc)) == doc``.
+    """
     data = _load_json(text)
     _check_version(data)
     try:
-        tolerances = ToleranceConfig(**data["tolerances"])
-        verdicts = tuple(
-            VerdictRecord(
-                kind=v["kind"],
-                outcome=v["outcome"],
-                indices=tuple(v["indices"]) if v["indices"] is not None else None,
-                left=_pair_to_complex(v["left"], "verdict left")
-                if v["left"] is not None else None,
-                right=_pair_to_complex(v["right"], "verdict right")
-                if v["right"] is not None else None,
-                discrepancy=v["discrepancy"],
-            )
-            for v in data["verdicts"]
-        )
-        spectrum = None
+        _require(data, _REPORT_KEYS)
+        try:
+            ToleranceConfig(**data["tolerances"])
+        except ValueError as exc:
+            raise DocumentError(f"tolerances: {exc}") from exc
+        for v in data["verdicts"]:
+            _require(v, _VERDICT_KEYS)
+            if v["indices"] is not None:
+                iter(v["indices"])
+            for side in ("left", "right"):
+                if v[side] is not None:
+                    _pair_to_complex(v[side], f"verdict {side}")
         if data["spectrum"] is not None:
-            spectrum = tuple(_pair_to_complex(z, "spectrum") for z in data["spectrum"])
-        certificate = None
-        if data["certificate"] is not None:
-            c = data["certificate"]
-            certificate = CertificateRecord(
-                s=tuple(tuple(_pair_to_complex(z, "certificate s") for z in row)
-                        for row in c["s"]),
-                alphas=tuple(_pair_to_complex(z, "certificate alphas")
-                             for z in c["alphas"]),
-                residual_symmetry=c["residual_symmetry"],
-                residual_unitarity=c["residual_unitarity"],
-                residual_intertwine=c["residual_intertwine"],
-                residual_eigvec=c["residual_eigvec"],
-                beta_min_divisor=c["beta_min_divisor"],
-            )
-        oracle = None
+            _check_pairs(data["spectrum"], "spectrum")
+        cert = data["certificate"]
+        if cert is not None:
+            _require(cert, _CERTIFICATE_KEYS)
+            for row in cert["s"]:
+                _check_pairs(row, "certificate s")
+            _check_pairs(cert["alphas"], "certificate alphas")
         if data["oracle"] is not None:
-            o = data["oracle"]
-            oracle = OracleRecord(outcome=o["outcome"],
-                                  best_residual=o["best_residual"],
-                                  restarts_used=o["restarts_used"])
-        return ReportDocument(
-            label=data["label"],
-            n=data["n"],
-            seed=data["seed"],
-            tolerances=tolerances,
-            final=data["final"],
-            reason=data["reason"],
-            spectrum=spectrum,
-            verdicts=verdicts,
-            certificate=certificate,
-            oracle=oracle,
-        )
+            _require(data["oracle"], _ORACLE_KEYS)
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"report document missing or malformed field: {exc}") from exc
+    return data

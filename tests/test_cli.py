@@ -86,16 +86,16 @@ class TestClassify:
         assert main(["classify", str(path), "--json", str(out_path)]) \
             == EXIT_NOT_UECSM
         doc = parse_report_document(out_path.read_text())
-        assert doc.final == "NotUECSM"
-        assert doc.label == "strong-angle-counterexample"
+        assert doc["final"] == "NotUECSM"
+        assert doc["label"] == "strong-angle-counterexample"
 
     def test_json_to_stdout_is_pure(self, tmp_path, capsys):
         path = write_doc(tmp_path, "closed-form-s")
         assert main(["classify", str(path), "--json", "-"]) == EXIT_UECSM
         out = capsys.readouterr().out
         doc = parse_report_document(out)     # no human text mixed in
-        assert doc.final == "UECSM"
-        assert doc.certificate is not None
+        assert doc["final"] == "UECSM"
+        assert doc["certificate"] is not None
 
     def test_oracle_flag(self, tmp_path, capsys):
         path = write_doc(tmp_path, "closed-form-s")
@@ -107,6 +107,25 @@ class TestClassify:
         doc = MatrixDocument.from_matrix(find_fixture("family-s5").matrix())
         monkeypatch.setattr("sys.stdin", io.StringIO(serialize_matrix_document(doc)))
         assert main(["classify", "-"]) == EXIT_UECSM
+
+    @pytest.mark.parametrize("json_out", [None, "-"])
+    def test_uncertified_uecsm_flagged(self, tmp_path, capsys, json_out):
+        # min |e_i| is 3e-10 here, so S divides by a near-zero pairing and
+        # its unitarity residual misses match_tol; the verdict stays.
+        doc = MatrixDocument.from_matrix([[0, 1, 0], [0, 0, 1], [1e-15, 0, 0]])
+        path = tmp_path / "matrix.json"
+        path.write_text(serialize_matrix_document(doc))
+        argv = ["classify", str(path), "--zero-tol", "1e-13"]
+        if json_out:
+            argv += ["--json", json_out]
+        assert main(argv) == EXIT_UECSM
+        captured = capsys.readouterr()
+        assert "warning: UECSM verdict is not certified" in captured.err
+        assert "match_tol" in captured.err
+        if json_out:
+            assert parse_report_document(captured.out)["final"] == "UECSM"
+        else:
+            assert "final: UECSM" in captured.out
 
     def test_seed_changes_nothing_observable(self, tmp_path, capsys):
         path = write_doc(tmp_path, "closed-form-s")

@@ -5,6 +5,7 @@ numbers, which round-trip exactly, so parse(serialize(x)) == x holds with
 plain equality for matrices and full reports alike.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -96,6 +97,28 @@ class TestMatrixParseErrors:
             parse_matrix_document(text)
 
 
+DELETE = object()
+
+# (path into the report payload, replacement value or DELETE); every one is
+# a document the parser must refuse.
+MUTATIONS = {
+    **{f"missing-{key}": ((key,), DELETE)
+       for key in ("label", "n", "seed", "tolerances", "final", "reason",
+                   "spectrum", "verdicts", "certificate", "oracle")},
+    "unknown-tolerance": (("tolerances", "zero_tolerance"), 1e-9),
+    "missing-verdict-key": (("verdicts", 0, "discrepancy"), DELETE),
+    "missing-certificate-key": (("certificate", "beta_min_divisor"), DELETE),
+    "missing-oracle-key": (("oracle", "restarts_used"), DELETE),
+    "bad-spectrum-pair": (("spectrum", 0), [1, 2, 3]),
+    "bad-left-pair": (("verdicts", 0, "left"), "1+2i"),
+    "bad-right-pair": (("verdicts", 3, "right"), [True, 0]),
+    "bad-s-pair": (("certificate", "s", 1, 2), [1]),
+    "bad-alphas-pair": (("certificate", "alphas", 0), [1, None]),
+    "indices-not-iterable": (("verdicts", 0, "indices"), 5),
+    "negative-zero-tol": (("tolerances", "zero_tol"), -1.0),
+}
+
+
 def report_for(label, oracle=False, seed=0):
     m = find_fixture(label).matrix()
     report = classify(m, seed=seed)
@@ -105,27 +128,33 @@ def report_for(label, oracle=False, seed=0):
                                  oracle=verdict)
 
 
+@pytest.fixture(scope="module")
+def full_payload():
+    """A UECSM report with spectrum, certificate and oracle, as parsed JSON."""
+    return json.loads(serialize_report_document(report_for("closed-form-s", oracle=True)))
+
+
 class TestReportDocuments:
     def test_round_trip_with_certificate_and_oracle(self):
         doc = report_for("closed-form-s", oracle=True)
         again = parse_report_document(serialize_report_document(doc))
         assert again == doc
-        assert again.certificate is not None
-        assert again.oracle is not None
+        assert again["certificate"] is not None
+        assert again["oracle"] is not None
 
     def test_round_trip_negative_verdict(self):
         doc = report_for("necessary-tests-fail")
         again = parse_report_document(serialize_report_document(doc))
         assert again == doc
-        assert again.certificate is None
-        assert again.final == "NotUECSM"
+        assert again["certificate"] is None
+        assert again["final"] == "NotUECSM"
 
     def test_round_trip_not_applicable(self):
         doc = report_for(TABLE3[0].label)
         again = parse_report_document(serialize_report_document(doc))
         assert again == doc
-        assert again.spectrum is None
-        assert again.reason
+        assert again["spectrum"] is None
+        assert again["reason"]
 
     def test_round_trip_property_over_fixtures(self):
         for label in ("family-s2", "family-s5", "strong-angle-counterexample",
@@ -144,13 +173,42 @@ class TestReportDocuments:
         cfg = ToleranceConfig(eig_gap_tol=1e-6, zero_tol=1e-8, match_tol=1e-5)
         doc = build_report_document(classify(m, cfg), n=3, cfg=cfg)
         again = parse_report_document(serialize_report_document(doc))
-        assert again.tolerances == cfg
+        assert ToleranceConfig(**again["tolerances"]) == cfg
 
-    def test_missing_field_reported(self):
-        payload = json.loads(serialize_report_document(report_for("family-s5")))
-        del payload["verdicts"]
+    @pytest.mark.parametrize("path, value", MUTATIONS.values(), ids=MUTATIONS.keys())
+    def test_malformed_report_rejected(self, full_payload, path, value):
+        payload = copy.deepcopy(full_payload)
+        *parents, key = path
+        section = payload
+        for step in parents:
+            section = section[step]
+        if value is DELETE:
+            del section[key]
+        else:
+            section[key] = value
         with pytest.raises(DocumentError):
             parse_report_document(json.dumps(payload))
+
+    def test_layout_pinned(self, full_payload):
+        payload = full_payload
+        assert list(payload) == [
+            "format_version", "label", "n", "seed", "tolerances", "final",
+            "reason", "spectrum", "verdicts", "certificate", "oracle"]
+        assert list(payload["tolerances"]) == ["eig_gap_tol", "zero_tol", "match_tol"]
+        verdict_keys = ["kind", "outcome", "indices", "left", "right", "discrepancy"]
+        assert [list(v) for v in payload["verdicts"]] == [verdict_keys] * 4
+        assert list(payload["certificate"]) == [
+            "s", "alphas", "residual_symmetry", "residual_unitarity",
+            "residual_intertwine", "residual_eigvec", "beta_min_divisor"]
+        assert list(payload["oracle"]) == ["outcome", "best_residual", "restarts_used"]
+        pairs = [*payload["spectrum"], *payload["certificate"]["alphas"],
+                 *(z for row in payload["certificate"]["s"] for z in row),
+                 *(v[side] for v in payload["verdicts"] for side in ("left", "right"))]
+        assert all(len(z) == 2 and all(type(x) is float for x in z) for z in pairs)
+        not_applicable = json.loads(serialize_report_document(report_for(TABLE3[0].label)))
+        assert [list(v) for v in not_applicable["verdicts"]] == [verdict_keys] * 4
+        assert all(v[key] is None for v in not_applicable["verdicts"]
+                   for key in verdict_keys[2:])
 
     def test_wrong_version_rejected(self):
         payload = json.loads(serialize_report_document(report_for("family-s5")))
