@@ -30,7 +30,6 @@ from .criteria import (
     Witness,
     angle_test,
     classify,
-    gram_pair,
     grammian_test,
     parallelepiped_test,
     strong_angle_test,
@@ -73,6 +72,7 @@ from .spectral import (
     SpectralData,
     assert_distinct_spectrum,
     compute_spectral_data,
+    gram_pair,
 )
 
 __version__ = "0.1.0"

@@ -5,10 +5,11 @@
     uecsm fixtures [--only GROUP] ...
 
 Exit codes for ``classify``: 0 = UECSM, 1 = NotUECSM, 2 = NotApplicable,
-3 = malformed input, 4 = numerical failure.  ``search`` exits 0 once the
-scan completes (hits are data, not an error), 3/4 on bad input or setup.
-``fixtures`` exits 0 when every replayed fixture matches its published
-verdict and 1 otherwise.
+3 = malformed input or bad arguments, 4 = numerical failure.  ``search``
+exits 0 once the scan completes (hits are data, not an error), 3/4 on bad
+input or setup.  ``fixtures`` exits 0 when every replayed fixture matches
+its published verdict, 1 otherwise, and 3 on bad arguments.  An output
+path that cannot be written is bad input for every command.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _check(label: str, what: str, ok: bool, detail: str = "") -> tuple[str, bool]:
+def _check(what: str, ok: bool, detail: str = "") -> tuple[str, bool]:
     mark = "ok" if ok else "MISMATCH"
     suffix = f" [{detail}]" if detail else ""
     return f"{what} {mark}{suffix}", ok
@@ -234,14 +235,14 @@ def cmd_fixtures(args) -> int:
         for fx in FIXTURE_GROUPS[group]:
             pieces = []
             report = classify(fx.matrix(), cfg, seed=args.seed)
-            text, ok = _check(fx.label, f"classify {report.final.value}",
+            text, ok = _check(f"classify {report.final.value}",
                               report.final.value == fx.expected_final)
             pieces.append(text)
             all_ok &= ok
             if fx.nilpotent_ab is not None:
                 a, b = fx.nilpotent_ab
                 verdict = nilpotent3_verdict(a, b, cfg)
-                text, ok = _check(fx.label, f"nilpotent {'yes' if verdict else 'no'}",
+                text, ok = _check(f"nilpotent {'yes' if verdict else 'no'}",
                                   verdict == fx.oracle_expected)
                 pieces.append(text)
                 all_ok &= ok
@@ -251,14 +252,14 @@ def cmd_fixtures(args) -> int:
                                             seed=args.seed)
                 expected = (OracleOutcome.UECSM if fx.oracle_expected
                             else OracleOutcome.NOT_UECSM)
-                text, ok = _check(fx.label, f"oracle {verdict.outcome.value}",
+                text, ok = _check(f"oracle {verdict.outcome.value}",
                                   verdict.outcome is expected,
                                   f"residual {verdict.best_residual:.2e}")
                 pieces.append(text)
                 all_ok &= ok
             if fx.tener is not None:
                 applicable, _ = tener_applicable(fx.matrix(), cfg)
-                text, ok = _check(fx.label, f"tener {'yes' if applicable else 'no'}",
+                text, ok = _check(f"tener {'yes' if applicable else 'no'}",
                                   applicable == fx.tener)
                 pieces.append(text)
                 all_ok &= ok
@@ -320,7 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if getattr(args, "restarts", 1) < 1:
+        print(f"error: --restarts must be at least 1, got {args.restarts}",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
+    try:
+        return args.func(args)
+    except OSError as exc:    # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

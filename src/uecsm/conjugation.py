@@ -39,7 +39,7 @@ from .linalg import (
     LinearAlgebraError,
     ToleranceConfig,
 )
-from .spectral import SpectralData
+from .spectral import SpectralData, gram_pair, pair_indices
 
 
 class BetaInconsistencyError(LinearAlgebraError):
@@ -109,32 +109,26 @@ def build_beta(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> B
     inputs that fail the strong angle test -- for diagnostics, but the
     multiplicative structure is only guaranteed after a pass.
     """
-    n = sd.n
-    u, v = sd.u_basis, sd.v_basis
-    uu = (u.conj().T @ u).T    # uu[i, j] = <u_i, u_j>
-    vv = (v.conj().T @ v).T
-    entries = np.zeros((n, n), dtype=np.complex128)
-    defined = np.zeros((n, n), dtype=bool)
-    min_divisor = np.inf
-    for i in range(n):
-        entries[i, i] = 1.0
-        defined[i, i] = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            num = abs(uu[i, j])
-            den = abs(vv[j, i])
-            if num > cfg.zero_tol and den > cfg.zero_tol:
-                entries[i, j] = uu[i, j] / vv[j, i]
-                entries[j, i] = np.conj(entries[i, j])
-                defined[i, j] = defined[j, i] = True
-                min_divisor = min(min_divisor, den)
-            elif num > cfg.zero_tol or den > cfg.zero_tol:
-                raise BetaInconsistencyError(
-                    f"pair ({i + 1}, {j + 1}): |<u_i,u_j>| = {num:.3e} but "
-                    f"|<v_j,v_i>| = {den:.3e}; exactly one is below "
-                    f"zero_tol = {cfg.zero_tol:.3e}")
+    gu, gv = gram_pair(sd)
+    uu, vv = gu.T, gv.T    # uu[i, j] = <u_i, u_j>
+    i, j = pair_indices(sd.n)
+    num, den = np.abs(uu[i, j]), np.abs(vv[j, i])
+    keep = num > cfg.zero_tol
+    one_sided = keep != (den > cfg.zero_tol)
+    if one_sided.any():
+        p = int(one_sided.argmax())
+        raise BetaInconsistencyError(
+            f"pair ({i[p] + 1}, {j[p] + 1}): |<u_i,u_j>| = {num[p]:.3e} but "
+            f"|<v_j,v_i>| = {den[p]:.3e}; exactly one is below "
+            f"zero_tol = {cfg.zero_tol:.3e}")
+    i, j = i[keep], j[keep]    # both sides clear zero_tol here
+    entries = np.eye(sd.n, dtype=np.complex128)
+    defined = np.eye(sd.n, dtype=bool)
+    entries[i, j] = uu[i, j] / vv[j, i]
+    entries[j, i] = np.conj(entries[i, j])
+    defined[i, j] = defined[j, i] = True
     return BetaMatrix(entries=entries, defined=defined,
-                      min_divisor=float(min_divisor))
+                      min_divisor=float(den[keep].min(initial=np.inf)))
 
 
 def complete_beta(b: BetaMatrix) -> BetaMatrix:

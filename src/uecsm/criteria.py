@@ -30,11 +30,18 @@ unit vectors or a determinant of a unit-column matrix -- so comparisons use
 the dimensionless match_tol directly (the Grammian entries scale with n and
 get a norm-relative band).  All reported indices are 1-based, following the
 usual mathematical labelling of eigenvalues.
+
+Every test reports the same kind of witness: the first worst comparison in
+canonical order (pairs and triples lexicographic, Grammian entries by
+descending eigenvalue), and passes iff that discrepancy is within its band.
+Where two comparisons are mathematically tied, rounding decides which one
+is reported.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,7 +56,13 @@ from .conjugation import (
     verify_certificate,
 )
 from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, determinant
-from .spectral import NotApplicable, SpectralData, compute_spectral_data
+from .spectral import (
+    NotApplicable,
+    SpectralData,
+    compute_spectral_data,
+    gram_pair,
+    pair_indices,
+)
 
 TEST_KINDS = ("Angle", "Grammian", "Parallelepiped", "StrongAngle")
 
@@ -92,35 +105,36 @@ class ClassificationReport:
     certificate: ConjugationCertificate | None = None
 
 
-def gram_pair(sd: SpectralData) -> tuple[np.ndarray, np.ndarray]:
-    """(U* U, V* V); entry (i, j) is <u_j, u_i> resp. <v_j, v_i>."""
-    u, v = sd.u_basis, sd.v_basis
-    return u.conj().T @ u, v.conj().T @ v
-
-
-def _verdict(kind: str, witness: Witness | None, cfg: ToleranceConfig,
-             threshold: float | None = None) -> TestVerdict:
-    limit = cfg.match_tol if threshold is None else threshold
-    if witness is None:
-        # No comparable pairs (n = 1): vacuously true.
-        return TestVerdict(kind, Outcome.PASS,
-                           Witness(indices=(), left=0j, right=0j, discrepancy=0.0))
+def _decide(kind: str, indices, left, right, limit: float) -> TestVerdict:
+    """Verdict on ``left[m]`` against ``right[m]``, witnessed by the first worst
+    comparison (``indices``: one 0-based array per witness coordinate); pass
+    iff within ``limit``, vacuously when nothing is compared (n = 1)."""
+    gaps = np.abs(left - right)
+    if gaps.size == 0:
+        return TestVerdict(kind, Outcome.PASS, Witness((), 0j, 0j, 0.0))
+    m = int(gaps.argmax())
+    witness = Witness(tuple(int(a[m]) + 1 for a in indices),
+                      complex(left[m]), complex(right[m]), float(gaps[m]))
     outcome = Outcome.PASS if witness.discrepancy <= limit else Outcome.FAIL
     return TestVerdict(kind, outcome, witness)
+
+
+@functools.cache
+def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j, k) of the triples i <= j <= k, not all
+    equal, in lexicographic order."""
+    i, j, k = np.indices((n, n, n))
+    i, j, k = np.nonzero((i <= j) & (j <= k) & (i < k))
+    i.flags.writeable = j.flags.writeable = k.flags.writeable = False
+    return i, j, k
 
 
 def angle_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
     """Compare |<u_i, u_j>| against |<v_i, v_j>| over all pairs i < j."""
     gu, gv = gram_pair(sd)
-    worst = None
-    for i in range(sd.n):
-        for j in range(i + 1, sd.n):
-            left = abs(gu[i, j])
-            right = abs(gv[i, j])
-            gap = abs(left - right)
-            if worst is None or gap > worst.discrepancy:
-                worst = Witness((i + 1, j + 1), complex(left), complex(right), gap)
-    return _verdict("Angle", worst, cfg)
+    i, j = pair_indices(sd.n)
+    return _decide("Angle", (i, j), np.abs(gu[i, j]), np.abs(gv[i, j]),
+                   cfg.match_tol)
 
 
 def grammian_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
@@ -133,22 +147,16 @@ def grammian_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
     gu, gv = gram_pair(sd)
     spec_u = np.sort(np.linalg.eigvalsh(gu))[::-1]
     spec_v = np.sort(np.linalg.eigvalsh(gv))[::-1]
-    worst = None
-    for k in range(sd.n):
-        gap = abs(spec_u[k] - spec_v[k])
-        if worst is None or gap > worst.discrepancy:
-            worst = Witness((k + 1,), complex(spec_u[k]), complex(spec_v[k]), float(gap))
-    threshold = cfg.match_tol * float(np.linalg.norm(gu))
-    return _verdict("Grammian", worst, cfg, threshold=threshold)
+    return _decide("Grammian", (np.arange(sd.n),), spec_u, spec_v,
+                   cfg.match_tol * float(np.linalg.norm(gu)))
 
 
 def parallelepiped_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
     """Compare |det U| with |det V| (unit columns, so both lie in (0, 1])."""
     det_u = abs(determinant(sd.u_basis))
     det_v = abs(determinant(sd.v_basis))
-    gap = abs(det_u - det_v)
-    witness = Witness((), complex(det_u), complex(det_v), gap)
-    return _verdict("Parallelepiped", witness, cfg)
+    return _decide("Parallelepiped", (), np.array([det_u]), np.array([det_v]),
+                   cfg.match_tol)
 
 
 def strong_angle_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
@@ -162,20 +170,10 @@ def strong_angle_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCE
     gu, gv = gram_pair(sd)
     uu = gu.T    # uu[i, j] = <u_i, u_j>
     vv = gv.T
-    worst = None
-    n = sd.n
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                if i == j == k:
-                    continue
-                left = uu[i, j] * uu[j, k] * uu[k, i]
-                right = np.conj(vv[i, j] * vv[j, k] * vv[k, i])
-                gap = abs(left - right)
-                if worst is None or gap > worst.discrepancy:
-                    worst = Witness((i + 1, j + 1, k + 1), complex(left),
-                                    complex(right), float(gap))
-    return _verdict("StrongAngle", worst, cfg)
+    i, j, k = _triple_indices(sd.n)
+    left = uu[i, j] * uu[j, k] * uu[k, i]
+    right = np.conj(vv[i, j] * vv[j, k] * vv[k, i])
+    return _decide("StrongAngle", (i, j, k), left, right, cfg.match_tol)
 
 
 def classify(

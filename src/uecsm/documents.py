@@ -14,10 +14,16 @@ from enum import Enum
 
 import numpy as np
 
-from .conjugation import ConjugationCertificate
-from .criteria import ClassificationReport, TestVerdict, Witness
+from .criteria import (
+    TEST_KINDS,
+    ClassificationReport,
+    FinalVerdict,
+    Outcome,
+    TestVerdict,
+    Witness,
+)
 from .linalg import ToleranceConfig
-from .oracle import OracleVerdict
+from .oracle import OracleOutcome, OracleVerdict
 
 FORMAT_VERSION = 1
 
@@ -52,10 +58,20 @@ def _check_version(data: dict) -> None:
             f"unsupported format_version {version!r} (expected {FORMAT_VERSION})")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_real, value))
+
+
 def _pair_to_complex(value, where: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                       for p in value)):
+    if not _is_pair(value):
         raise DocumentError(f"{where}: expected an [re, im] number pair, got {value!r}")
     return complex(float(value[0]), float(value[1]))
 
@@ -144,13 +160,7 @@ def serialize_matrix_document(doc: MatrixDocument) -> str:
 # dataclasses: ToleranceConfig, TestVerdict with its Witness flattened in,
 # ConjugationCertificate and OracleVerdict.
 
-_REPORT_KEYS = ("label", "n", "seed", "tolerances", "final", "reason",
-                "spectrum", "verdicts", "certificate", "oracle")
 _WITNESS_KEYS = tuple(f.name for f in fields(Witness))
-_VERDICT_KEYS = tuple(f.name for f in fields(TestVerdict)
-                      if f.name != "witness") + _WITNESS_KEYS
-_CERTIFICATE_KEYS = tuple(f.name for f in fields(ConjugationCertificate))
-_ORACLE_KEYS = tuple(f.name for f in fields(OracleVerdict))
 
 
 def _verdict_entry(tv: TestVerdict) -> dict:
@@ -190,47 +200,84 @@ def serialize_report_document(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _require(section, keys) -> None:
-    for key in keys:
-        section[key]
+# The parser checks a report against the schema below: each section is an
+# object whose keys map to checks that return False or raise DocumentError.
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
 
 
-def _check_pairs(values, where: str) -> None:
-    for value in values:
-        _pair_to_complex(value, where)
+def _optional(check):
+    return lambda value: value is None or check(value)
+
+
+def _one_of(values):
+    values = tuple(values)    # str enums compare equal to their values
+    return lambda value: isinstance(value, str) and value in values
+
+
+def _section(where: str, checks: dict):
+    def check(value) -> bool:
+        if not isinstance(value, dict):
+            raise DocumentError(f"{where} must be an object, got {value!r}")
+        for key, ok in checks.items():
+            if key not in value:
+                raise DocumentError(f"{where}: missing field {key!r}")
+            if not ok(value[key]):
+                raise DocumentError(f"{where} {key}: unexpected value {value[key]!r}")
+        return True
+    return check
+
+
+_WITNESS_CHECKS = {"indices": _list_of(_is_int), "left": _is_pair,
+                   "right": _is_pair, "discrepancy": _is_real}
+
+
+def _verdict(value) -> bool:
+    # The writer leaves the witness fields of a NotApplicable verdict null.
+    na = isinstance(value, dict) and value.get("outcome") == Outcome.NOT_APPLICABLE
+    return _section("verdict", {
+        "kind": _one_of(TEST_KINDS),
+        "outcome": _one_of(Outcome),
+        **{key: _optional(ok) if na else ok for key, ok in _WITNESS_CHECKS.items()},
+    })(value)
+
+
+_report = _section("report", {
+    "label": _optional(lambda value: isinstance(value, str)),
+    "n": lambda value: _is_int(value) and value > 0,
+    "seed": _is_int,
+    "tolerances": _section("tolerances", {
+        f.name: _is_real for f in fields(ToleranceConfig)}),
+    "final": _one_of(FinalVerdict),
+    "reason": _optional(lambda value: isinstance(value, str)),
+    "spectrum": _optional(_list_of(_is_pair)),
+    "verdicts": _list_of(_verdict),
+    "certificate": _optional(_section("certificate", {
+        "s": _list_of(_list_of(_is_pair)),
+        "alphas": _list_of(_is_pair),
+        **dict.fromkeys(("residual_symmetry", "residual_unitarity",
+                         "residual_intertwine", "residual_eigvec"), _is_real),
+        "beta_min_divisor": _optional(_is_real),
+    })),
+    "oracle": _optional(_section("oracle", {
+        "outcome": _one_of(OracleOutcome),
+        "best_residual": _is_real,
+        "restarts_used": _is_int,
+    })),
+})
 
 
 def parse_report_document(text: str) -> dict:
-    """Validate a report document and return its JSON tree.
-
-    Every section must carry all its keys; ``[re, im]`` pairs, tolerances
-    and witness indices are checked.  ``parse(serialize(doc)) == doc``.
+    """Validate a report document against the schema above, tolerances
+    against ToleranceConfig, and return its JSON tree.  Null is accepted
+    only where the writer emits it.  ``parse(serialize(doc)) == doc``.
     """
     data = _load_json(text)
     _check_version(data)
+    _report(data)
     try:
-        _require(data, _REPORT_KEYS)
-        try:
-            ToleranceConfig(**data["tolerances"])
-        except ValueError as exc:
-            raise DocumentError(f"tolerances: {exc}") from exc
-        for v in data["verdicts"]:
-            _require(v, _VERDICT_KEYS)
-            if v["indices"] is not None:
-                iter(v["indices"])
-            for side in ("left", "right"):
-                if v[side] is not None:
-                    _pair_to_complex(v[side], f"verdict {side}")
-        if data["spectrum"] is not None:
-            _check_pairs(data["spectrum"], "spectrum")
-        cert = data["certificate"]
-        if cert is not None:
-            _require(cert, _CERTIFICATE_KEYS)
-            for row in cert["s"]:
-                _check_pairs(row, "certificate s")
-            _check_pairs(cert["alphas"], "certificate alphas")
-        if data["oracle"] is not None:
-            _require(data["oracle"], _ORACLE_KEYS)
-    except (KeyError, TypeError) as exc:
-        raise DocumentError(f"report document missing or malformed field: {exc}") from exc
+        ToleranceConfig(**data["tolerances"])
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"tolerances: {exc}") from exc
     return data

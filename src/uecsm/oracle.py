@@ -26,7 +26,7 @@ the identity start is kept only because it is free and occasionally lands
 exactly on a symmetric representative.
 
 Verdict bands are deliberately asymmetric: UECSM requires the best residual
-at or below oracle_tol; NotUECSM additionally requires a factor-10 margin
+at or below ORACLE_TOL; NotUECSM additionally requires a factor-10 margin
 after the full restart budget; the strip in between is Inconclusive.
 
 Smaller tools in the same spirit: the exact verdict for 3x3 nilpotent
@@ -47,6 +47,7 @@ from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix
 
 ORACLE_TOL = 1e-6
 NOT_UECSM_MARGIN = 10.0
+MAX_ITERS = 2000      # descent iterations per restart
 
 _GRAD_FLOOR = 1e-14   # squared-gradient cutoff relative to ||T||^4
 _MIN_STEP = 1e-18
@@ -127,9 +128,7 @@ def _descend(t: np.ndarray, q: np.ndarray, max_iters: int,
 def brute_force_uecsm(
     t,
     restarts: int = 32,
-    max_iters: int = 2000,
     seed: int = 0,
-    oracle_tol: float = ORACLE_TOL,
 ) -> OracleVerdict:
     """Multi-start orbit descent; deterministic for a given seed.
 
@@ -147,20 +146,20 @@ def brute_force_uecsm(
     streams = np.random.SeedSequence(seed).spawn(restarts)
     # Aim below the certification line with margin; sqrt(2 h) / ||T|| is the
     # reported residual.
-    f_floor = 0.5 * (0.5 * oracle_tol * t_norm) ** 2
+    f_floor = 0.5 * (0.5 * ORACLE_TOL * t_norm) ** 2
     best = np.inf
     used = 0
     for r in range(restarts):
         rng = np.random.default_rng(streams[r])
         q0 = np.eye(n, dtype=np.complex128) if r == 0 else random_unitary(n, rng)
-        f = _descend(a, q0, max_iters, f_floor)
+        f = _descend(a, q0, MAX_ITERS, f_floor)
         used += 1
         best = min(best, np.sqrt(2.0 * f) / t_norm)
-        if best <= oracle_tol:
+        if best <= ORACLE_TOL:
             break
-    if best <= oracle_tol:
+    if best <= ORACLE_TOL:
         outcome = OracleOutcome.UECSM
-    elif best > NOT_UECSM_MARGIN * oracle_tol:
+    elif best > NOT_UECSM_MARGIN * ORACLE_TOL:
         outcome = OracleOutcome.NOT_UECSM
     else:
         outcome = OracleOutcome.INCONCLUSIVE

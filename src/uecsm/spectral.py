@@ -22,6 +22,7 @@ the criteria tests are checked for exactly this invariance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,21 @@ class SpectralData:
         return cls(lambdas=lam, u_basis=u, v_basis=v, e_diag=e)
 
 
+def gram_pair(sd: SpectralData) -> tuple[np.ndarray, np.ndarray]:
+    """(U* U, V* V); entry (i, j) is <u_j, u_i> resp. <v_j, v_i>."""
+    u, v = sd.u_basis, sd.v_basis
+    return u.conj().T @ u, v.conj().T @ v
+
+
+@functools.cache
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j) of the pairs i < j in lexicographic
+    order: the canonical order of every pairwise scan."""
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def assert_distinct_spectrum(
     lambdas,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -106,18 +122,16 @@ def assert_distinct_spectrum(
     if scale is None:
         scale = float(np.abs(lam).max())
     threshold = cfg.eig_gap_tol * scale
-    worst = (np.inf, None)
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(lam[i] - lam[j])
-            if gap < worst[0]:
-                worst = (gap, (i + 1, j + 1))
-    if worst[0] <= threshold:
+    i, j = pair_indices(n)
+    gaps = np.abs(lam[i] - lam[j])
+    k = int(gaps.argmin())    # first smallest gap in canonical order
+    if gaps[k] <= threshold:
+        pair = (int(i[k]) + 1, int(j[k]) + 1)
         return NotApplicable(
-            reason=f"repeated spectrum: gap {worst[0]:.3e} at pair {worst[1]} "
+            reason=f"repeated spectrum: gap {gaps[k]:.3e} at pair {pair} "
                    f"is within tolerance {threshold:.3e}",
-            pair=worst[1],
-            gap=float(worst[0]),
+            pair=pair,
+            gap=float(gaps[k]),
         )
     return None
 

@@ -127,6 +127,19 @@ class TestClassify:
         else:
             assert "final: UECSM" in captured.out
 
+    def test_oracle_with_zero_restarts_is_bad_input(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "closed-form-s")
+        code = main(["classify", str(path), "--oracle", "--restarts", "0"])
+        assert code == EXIT_BAD_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_json_path_is_bad_input(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "closed-form-s")
+        out_path = tmp_path / "no-such-dir" / "report.json"
+        assert main(["classify", str(path), "--json", str(out_path)]) \
+            == EXIT_BAD_INPUT
+        assert "error:" in capsys.readouterr().err
+
     def test_seed_changes_nothing_observable(self, tmp_path, capsys):
         path = write_doc(tmp_path, "closed-form-s")
         for seed in ("0", "42"):
@@ -172,6 +185,12 @@ class TestSearch:
                  + data["not_uecsm"])
         assert total == 50
 
+    def test_unwritable_json_path_is_bad_input(self, tmp_path, capsys):
+        code = main(["search", "--count", "2", "--out-dir", str(tmp_path),
+                     "--json", str(tmp_path / "no-such-dir" / "summary.json")])
+        assert code == EXIT_BAD_INPUT
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_inject_label(self, tmp_path, capsys):
         code = main(["search", "--count", "1", "--inject", "/missing.json",
                      "--out-dir", str(tmp_path)])
@@ -199,6 +218,10 @@ class TestFixtures:
         assert "nilpotent no ok" in out
         assert "oracle UECSM ok" in out
         assert "oracle NotUECSM ok" in out
+
+    def test_zero_restarts_is_bad_input(self, capsys):
+        assert main(["fixtures", "--restarts", "0"]) == EXIT_BAD_INPUT
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_group_rejected(self):
         with pytest.raises(SystemExit):

@@ -26,6 +26,7 @@ from uecsm.criteria import (
     parallelepiped_test,
     strong_angle_test,
 )
+from uecsm.linalg import DEFAULT_TOLERANCES
 from uecsm.fixtures import (
     COUNTEREXAMPLE,
     COUNTEREXAMPLE_BETA_SPECTRUM,
@@ -38,7 +39,7 @@ from uecsm.fixtures import (
 )
 from uecsm.conjugation import build_beta
 from uecsm.oracle import random_unitary
-from uecsm.spectral import compute_spectral_data
+from uecsm.spectral import assert_distinct_spectrum, compute_spectral_data
 
 
 def outcomes_by_kind(report):
@@ -281,3 +282,89 @@ class TestIndividualTests:
         assert grammian_test(sd).kind == "Grammian"
         assert parallelepiped_test(sd).kind == "Parallelepiped"
         assert strong_angle_test(sd).kind == "StrongAngle"
+
+
+def loop_angle(sd):
+    gu, gv = gram_pair(sd)
+    return [((i + 1, j + 1), abs(gu[i, j]), abs(gv[i, j]))
+            for i in range(sd.n) for j in range(i + 1, sd.n)]
+
+
+def loop_grammian(sd):
+    gu, gv = gram_pair(sd)
+    spec_u = sorted(np.linalg.eigvalsh(gu), reverse=True)
+    spec_v = sorted(np.linalg.eigvalsh(gv), reverse=True)
+    return [((k + 1,), spec_u[k], spec_v[k]) for k in range(sd.n)]
+
+
+def loop_strong_angle(sd):
+    uu, vv = (g.T for g in gram_pair(sd))
+    out = []
+    for i in range(sd.n):
+        for j in range(i, sd.n):
+            for k in range(j, sd.n):
+                if i == j == k:
+                    continue
+                out.append(((i + 1, j + 1, k + 1),
+                            uu[i, j] * uu[j, k] * uu[k, i],
+                            np.conj(vv[i, j] * vv[j, k] * vv[k, i])))
+    return out
+
+
+def witness_input(kind, n, trial):
+    rng = np.random.default_rng(1000 * n + trial)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "ginibre":
+        return a
+    q = random_unitary(n, rng)
+    return q @ (a + a.T) @ q.conj().T
+
+
+class TestWitnessRule:
+    """Every test against a plain loop over its comparisons, written here."""
+
+    @pytest.mark.parametrize("kind", ["ginibre", "uecsm"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_reference_loop(self, kind, n):
+        cfg = DEFAULT_TOLERANCES
+        for trial in range(3):
+            t = witness_input(kind, n, trial)
+            sd = compute_spectral_data(t, cfg)
+            gu, _ = gram_pair(sd)
+            for test, loop, limit in (
+                    (angle_test, loop_angle, cfg.match_tol),
+                    (grammian_test, loop_grammian,
+                     cfg.match_tol * float(np.linalg.norm(gu))),
+                    (strong_angle_test, loop_strong_angle, cfg.match_tol)):
+                gaps = {idx: abs(left - right) for idx, left, right in loop(sd)}
+                worst = max(gaps.values(), default=0.0)
+                verdict = test(sd, cfg)
+                assert verdict.outcome is (Outcome.PASS if worst <= limit
+                                           else Outcome.FAIL)
+                w = verdict.witness
+                bound = 1e-15 * max(1.0, abs(w.left), abs(w.right))
+                assert abs(w.discrepancy - worst) <= bound
+                if gaps:
+                    assert abs(gaps[w.indices] - worst) <= bound
+            w = strong_angle_test(sd, cfg).witness
+            if n > 1:
+                i, j, k = w.indices
+                assert i <= j <= k and not i == j == k
+
+            lam = sd.lambdas
+            gaps = {(i + 1, j + 1): abs(lam[i] - lam[j])
+                    for i in range(n) for j in range(i + 1, n)}
+            scale = float(np.linalg.norm(t))
+            distinct = assert_distinct_spectrum(lam, cfg, scale=scale) is None
+            assert distinct == all(g > cfg.eig_gap_tol * scale
+                                   for g in gaps.values())
+            # An infinite scale counts every gap as repeated, so the check
+            # reports its smallest one.
+            na = assert_distinct_spectrum(lam, cfg, scale=np.inf)
+            if n == 1:
+                assert na is None
+                continue
+            smallest = min(gaps.values())
+            bound = 1e-15 * max(1.0, *(abs(lam[p - 1]) for p in na.pair))
+            assert abs(na.gap - smallest) <= bound
+            assert abs(gaps[na.pair] - smallest) <= bound

@@ -116,6 +116,30 @@ MUTATIONS = {
     "bad-alphas-pair": (("certificate", "alphas", 0), [1, None]),
     "indices-not-iterable": (("verdicts", 0, "indices"), 5),
     "negative-zero-tol": (("tolerances", "zero_tol"), -1.0),
+    "final-not-a-string": (("final",), 5),
+    "final-unknown": (("final",), "Maybe"),
+    "n-string": (("n",), "x"),
+    "n-zero": (("n",), 0),
+    "n-bool": (("n",), True),
+    "seed-string": (("seed",), "s"),
+    "seed-bool": (("seed",), False),
+    "label-number": (("label",), 3),
+    "reason-number": (("reason",), 7),
+    "outcome-null": (("verdicts", 0, "outcome"), None),
+    "kind-unknown": (("verdicts", 1, "kind"), "Volume"),
+    "indices-strings": (("verdicts", 0, "indices"), ["1", "2"]),
+    "left-null-in-pass": (("verdicts", 0, "left"), None),
+    "discrepancy-bool": (("verdicts", 2, "discrepancy"), True),
+    "discrepancy-null-in-pass": (("verdicts", 3, "discrepancy"), None),
+    "match-tol-bool": (("tolerances", "match_tol"), True),
+    "residual-string": (("certificate", "residual_unitarity"), "1e-9"),
+    "residual-null": (("certificate", "residual_symmetry"), None),
+    "beta-min-divisor-string": (("certificate", "beta_min_divisor"), "0.1"),
+    "oracle-outcome-unknown": (("oracle", "outcome"), "Perhaps"),
+    "best-residual-bool": (("oracle", "best_residual"), False),
+    "restarts-used-float": (("oracle", "restarts_used"), 1.5),
+    "verdicts-not-a-list": (("verdicts",), ""),
+    "s-not-a-list": (("certificate", "s"), {}),
 }
 
 
