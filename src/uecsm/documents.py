@@ -53,7 +53,7 @@ def _load_json(text: str) -> dict:
 
 def _check_version(data: dict) -> None:
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise DocumentError(
             f"unsupported format_version {version!r} (expected {FORMAT_VERSION})")
 
@@ -135,7 +135,7 @@ def parse_matrix_document(text: str) -> MatrixDocument:
         rows.append(tuple(_pair_to_complex(v, f"entry ({i + 1}, {j + 1})")
                           for j, v in enumerate(row)))
     declared = data.get("n")
-    if declared is not None and declared != n:
+    if declared is not None and (not _is_int(declared) or declared != n):
         raise DocumentError(f"declared n = {declared} but entries are {n}x{n}")
     values = np.array(rows, dtype=np.complex128)
     if not (np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))):

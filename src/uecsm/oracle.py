@@ -7,8 +7,17 @@ The brute-force oracle decides UECSM without eigenvectors: it minimizes
 over the unitary group.  T is UECSM exactly when the infimum is zero, so a
 descent that drives f below a small tolerance certifies membership, while a
 batch of restarts all stuck far above it is strong evidence against.  The
-optimizer is steepest descent in the manifold parameterization
-Q <- exp(-eta G) Q with Armijo backtracking on the step.
+optimizer is Polak-Ribiere+ conjugate gradient on U(n) (Abrudan, Eriksson
+and Koivunen, "Conjugate gradient algorithm for optimization under unitary
+matrix constraint", Signal Processing 2009; Absil, Mahony and Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008), with Armijo
+backtracking on the step.  Directions D live in the skew-Hermitian Lie
+algebra and the step Q <- exp(-eta D) Q multiplies on the left, so carrying
+the previous direction to the new point is the identity.  D = G + beta
+D_prev with beta = max(0, Re<G - G_prev, G> / ||G_prev||^2); D is reset to
+G every n^2 iterations, whenever Re<D, G> <= 0, and once after a failed
+line search.  A failed search along G itself ends the restart, as do the
+objective floor and the gradient floor.
 
 For the smooth objective h(Q) = (1/2) ||A||_F^2 with A = M - M^t, the
 first-order expansion of h(exp(eps K) Q) in a skew-Hermitian direction K
@@ -98,30 +107,51 @@ def _expm_skew(g: np.ndarray) -> np.ndarray:
 
 def _descend(t: np.ndarray, q: np.ndarray, max_iters: int,
              f_floor: float) -> float:
-    """Steepest descent from q; returns the best objective value reached."""
+    """Polak-Ribiere+ conjugate gradient from q (direction rule and resets
+    in the module docstring); returns the best objective value reached.
+
+    Each step is q <- exp(-s d) q, with s from Armijo backtracking on the
+    slope Re<d, g>.  The descent stops when f reaches f_floor, when ||g||^2
+    falls to the gradient floor, or when a line search along g itself
+    fails.
+    """
     f = _objective(q, t)
     t_norm2 = float(np.linalg.norm(t)) ** 2
     grad_floor = _GRAD_FLOOR * t_norm2 ** 2
+    period = q.shape[0] ** 2
     step = 0.1
-    for _ in range(max_iters):
+    for k in range(max_iters):
         if f <= f_floor:
             break
         g = _gradient(q, t)
-        gn2 = float(np.real(np.trace(g.conj().T @ g)))
+        gn2 = float(np.vdot(g, g).real)
         if gn2 <= grad_floor:
             break
-        step = min(step * 2.0, _MAX_STEP)
+        d = g
+        if k % period:
+            beta = max(0.0, float(np.vdot(g - g_prev, g).real) / gn2_prev)
+            d = g + beta * d_prev
+            if np.vdot(d, g).real <= 0.0:
+                d = g
+        start = min(step * 2.0, _MAX_STEP)
         accepted = False
-        while step > _MIN_STEP:
-            q_try = _expm_skew(-step * g) @ q
-            f_try = _objective(q_try, t)
-            if f_try <= f - _ARMIJO * step * gn2:
-                q, f = q_try, f_try
-                accepted = True
+        while True:
+            slope = float(np.vdot(d, g).real)
+            step = start
+            while step > _MIN_STEP:
+                q_try = _expm_skew(-step * d) @ q
+                f_try = _objective(q_try, t)
+                if f_try <= f - _ARMIJO * step * slope:
+                    q, f = q_try, f_try
+                    accepted = True
+                    break
+                step *= 0.5
+            if accepted or d is g:
                 break
-            step *= 0.5
+            d = g
         if not accepted:
             break
+        g_prev, gn2_prev, d_prev = g, gn2, d
     return f
 
 
@@ -136,13 +166,13 @@ def brute_force_uecsm(
     does not depend on how the restarts would be scheduled.  Restarts stop
     early once one of them certifies membership.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     a = as_matrix(t)
     n = a.shape[0]
     t_norm = float(np.linalg.norm(a))
     if t_norm == 0.0 or n == 1:
         return OracleVerdict(OracleOutcome.UECSM, 0.0, 0)
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     streams = np.random.SeedSequence(seed).spawn(restarts)
     # Aim below the certification line with margin; sqrt(2 h) / ||T|| is the
     # reported residual.

@@ -51,6 +51,13 @@ class TestMatrixDocuments:
         with pytest.raises(DocumentError):
             parse_matrix_document(text)
 
+    def test_declared_n_must_be_an_int(self):
+        # True == 1, so only a type check rejects a boolean n on a 1x1 matrix.
+        text = json.dumps({"format_version": 1, "n": True,
+                           "entries": [[[1, 0]]]})
+        with pytest.raises(DocumentError):
+            parse_matrix_document(text)
+
 
 class TestMatrixParseErrors:
     def test_invalid_json_carries_position(self):
@@ -64,6 +71,12 @@ class TestMatrixParseErrors:
 
     def test_wrong_version(self):
         text = json.dumps({"format_version": 99, "entries": [[[0, 0]]]})
+        with pytest.raises(DocumentError):
+            parse_matrix_document(text)
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+    def test_version_must_be_an_int(self, version):
+        text = json.dumps({"format_version": version, "entries": [[[0, 0]]]})
         with pytest.raises(DocumentError):
             parse_matrix_document(text)
 
@@ -102,6 +115,7 @@ DELETE = object()
 # (path into the report payload, replacement value or DELETE); every one is
 # a document the parser must refuse.
 MUTATIONS = {
+    "format-version-bool": (("format_version",), True),
     **{f"missing-{key}": ((key,), DELETE)
        for key in ("label", "n", "seed", "tolerances", "final", "reason",
                    "spectrum", "verdicts", "certificate", "oracle")},

@@ -9,6 +9,7 @@ nilpotent table rows and their unitary conjugates.
 import numpy as np
 import pytest
 
+import uecsm.oracle as oracle
 from uecsm.fixtures import TABLE2, TABLE3, family_member
 from uecsm.oracle import (
     ORACLE_TOL,
@@ -29,6 +30,13 @@ def direct_sum_zero(t, k):
     out = np.zeros((len(t) + k, len(t) + k), dtype=np.complex128)
     out[:len(t), :len(t)] = t
     return out
+
+
+def constructed_uecsm(n, rng):
+    """Q S Q* with S = G + G^t complex Gaussian and Q random unitary."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q = random_unitary(n, rng)
+    return q @ (g + g.T) @ q.conj().T
 
 
 def random_skew(n, rng):
@@ -119,8 +127,10 @@ class TestBruteForce:
         assert a == b
 
     def test_restart_budget_validated(self):
-        with pytest.raises(ValueError):
-            brute_force_uecsm(np.eye(2) + 0j, restarts=0)
+        # The budget is checked before the shortcut for trivial input.
+        for t in (np.eye(2) + 0j, np.zeros((3, 3)), [[5]]):
+            with pytest.raises(ValueError):
+                brute_force_uecsm(t, restarts=0)
 
     def test_residual_scale_invariance(self):
         # The reported residual is relative, so scaling T should not change
@@ -130,6 +140,41 @@ class TestBruteForce:
         big = brute_force_uecsm(1e6 * t, restarts=8)
         assert small.outcome is big.outcome is OracleOutcome.NOT_UECSM
         assert big.best_residual == pytest.approx(small.best_residual, rel=1e-3)
+
+
+class TestDescentBudget:
+    def test_gradient_calls_to_certify(self, monkeypatch):
+        # Steepest descent needs about 4500 gradients here; conjugate
+        # gradient about 2000.
+        calls = 0
+        gradient = oracle._gradient
+
+        def counted(q, t):
+            nonlocal calls
+            calls += 1
+            return gradient(q, t)
+
+        monkeypatch.setattr(oracle, "_gradient", counted)
+        for s in range(4):
+            for n in (4, 5):
+                t = constructed_uecsm(n, np.random.default_rng(s))
+                verdict = brute_force_uecsm(t, restarts=8, seed=0)
+                assert verdict.outcome is OracleOutcome.UECSM
+        assert calls < 2500
+
+
+class TestInvariance:
+    def test_outcome_survives_conjugation_transpose_and_scaling(self):
+        rng = np.random.default_rng(18)
+        q = random_unitary(4, rng)
+        cases = [(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
+                  OracleOutcome.NOT_UECSM) for _ in range(2)]
+        cases += [(constructed_uecsm(4, rng), OracleOutcome.UECSM)
+                  for _ in range(2)]
+        for t, expected in cases:
+            for variant in (t, q @ t @ q.conj().T, t.T, (2 - 3j) * t):
+                verdict = brute_force_uecsm(variant, restarts=8)
+                assert verdict.outcome is expected
 
 
 class TestNilpotent3:
