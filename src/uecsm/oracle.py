@@ -10,14 +10,22 @@ batch of restarts all stuck far above it is strong evidence against.  The
 optimizer is Polak-Ribiere+ conjugate gradient on U(n) (Abrudan, Eriksson
 and Koivunen, "Conjugate gradient algorithm for optimization under unitary
 matrix constraint", Signal Processing 2009; Absil, Mahony and Sepulchre,
-Optimization Algorithms on Matrix Manifolds, 2008), with Armijo
-backtracking on the step.  Directions D live in the skew-Hermitian Lie
-algebra and the step Q <- exp(-eta D) Q multiplies on the left, so carrying
-the previous direction to the new point is the identity.  D = G + beta
-D_prev with beta = max(0, Re<G - G_prev, G> / ||G_prev||^2); D is reset to
-G every n^2 iterations, whenever Re<D, G> <= 0, and once after a failed
-line search.  A failed search along G itself ends the restart, as do the
-objective floor and the gradient floor.
+Optimization Algorithms on Matrix Manifolds, 2008).  Directions D live in
+the skew-Hermitian Lie algebra and the step Q <- exp(-eta D) Q multiplies
+on the left, so carrying the previous direction to the new point is the
+identity.  D = G + beta D_prev with beta = max(0, Re<G - G_prev, G> /
+||G_prev||^2); D is reset to G every n^2 iterations, whenever Re<D, G> <= 0,
+and once after a failed line search.  A failed search along G itself ends
+the restart, as do the objective floor and the gradient floor.
+
+Conjugate gradient needs a near-exact line search, so the step along the
+geodesic comes from a quadratic fit, as in Abrudan et al.  A try at step s
+gives f(0), f'(0) = -Re<D, G> and f(s); the quadratic through them has its
+minimiser at s*.  The first try is at the last accepted step.  A try that
+passes Armijo is kept, and s* is tried as well when it differs from s by
+more than 5%, keeping the lower of the two.  A try that fails Armijo is
+followed by one at s* clamped to [0.1 s, 0.5 s] (safeguarded interpolating
+backtracking).
 
 For the smooth objective h(Q) = (1/2) ||A||_F^2 with A = M - M^t, the
 first-order expansion of h(exp(eps K) Q) in a skew-Hermitian direction K
@@ -110,10 +118,14 @@ def _descend(t: np.ndarray, q: np.ndarray, max_iters: int,
     """Polak-Ribiere+ conjugate gradient from q (direction rule and resets
     in the module docstring); returns the best objective value reached.
 
-    Each step is q <- exp(-s d) q, with s from Armijo backtracking on the
-    slope Re<d, g>.  The descent stops when f reaches f_floor, when ||g||^2
-    falls to the gradient floor, or when a line search along g itself
-    fails.
+    Each step is q <- exp(-s d) q.  The first try is at the last accepted
+    step s; with slope = Re<d, g>, the quadratic through f(0), f'(0) =
+    -slope and f(s) has curvature c and minimiser s* = slope / c.  A try
+    that passes Armijo is kept, and when s* differs from s by more than 5%
+    s* is tried too and the lower of the two kept.  A try that fails moves
+    to s* clamped to [0.1 s, 0.5 s] (0.5 s when c <= 0), down to _MIN_STEP.
+    The descent stops when f reaches f_floor, when ||g||^2 falls to the
+    gradient floor, or when a line search along g itself fails.
     """
     f = _objective(q, t)
     t_norm2 = float(np.linalg.norm(t)) ** 2
@@ -133,24 +145,31 @@ def _descend(t: np.ndarray, q: np.ndarray, max_iters: int,
             d = g + beta * d_prev
             if np.vdot(d, g).real <= 0.0:
                 d = g
-        start = min(step * 2.0, _MAX_STEP)
+        start = min(step, _MAX_STEP)
         accepted = False
         while True:
             slope = float(np.vdot(d, g).real)
-            step = start
-            while step > _MIN_STEP:
-                q_try = _expm_skew(-step * d) @ q
+            s = start
+            while s > _MIN_STEP:
+                q_try = _expm_skew(-s * d) @ q
                 f_try = _objective(q_try, t)
-                if f_try <= f - _ARMIJO * step * slope:
-                    q, f = q_try, f_try
+                c = 2.0 * (f_try - f + slope * s) / (s * s)
+                if f_try <= f - _ARMIJO * s * slope:
                     accepted = True
                     break
-                step *= 0.5
+                s = min(max(slope / c, 0.1 * s), 0.5 * s) if c > 0.0 else 0.5 * s
             if accepted or d is g:
                 break
             d = g
         if not accepted:
             break
+        fit = min(slope / c, _MAX_STEP) if c > 0.0 else s
+        if abs(fit - s) > 0.05 * s:
+            q_fit = _expm_skew(-fit * d) @ q
+            f_fit = _objective(q_fit, t)
+            if f_fit < f_try:
+                q_try, f_try, s = q_fit, f_fit, fit
+        q, f, step = q_try, f_try, s
         g_prev, gn2_prev, d_prev = g, gn2, d
     return f
 

@@ -16,6 +16,7 @@ aborting a long search.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -97,7 +98,8 @@ def run_search(
     ``inject`` replaces the first ``len(inject)`` candidates with fixed
     matrices (a test hook: a planted hit must be found regardless of seed).
     Results are deterministic for fixed (seed, count, dim, range, inject)
-    and independent of ``workers``.
+    and independent of ``workers``.  The range is split into ``workers``
+    parts, run on at most one process per part and per CPU.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -117,7 +119,8 @@ def run_search(
              entry_low, entry_high, cfg, inject)
             for w in range(workers) if bounds[w] < bounds[w + 1]]
     merged = SearchResult(candidates=count)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(len(jobs), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         for part in pool.map(_scan_range, jobs):
             merged.not_applicable += part.not_applicable
             merged.breakdown += part.breakdown

@@ -142,25 +142,41 @@ class TestBruteForce:
         assert big.best_residual == pytest.approx(small.best_residual, rel=1e-3)
 
 
+def count_gradient_calls(monkeypatch):
+    """Wrap oracle._gradient; the returned list holds the running count."""
+    calls = [0]
+    gradient = oracle._gradient
+
+    def counted(q, t):
+        calls[0] += 1
+        return gradient(q, t)
+
+    monkeypatch.setattr(oracle, "_gradient", counted)
+    return calls
+
+
 class TestDescentBudget:
+    # The quadratic-fit line search needs about 350 gradients to certify
+    # these and 2900 to refute them; plain Armijo halving needed about
+    # 2000 and 11 000, so the bounds catch a fall back to it.
     def test_gradient_calls_to_certify(self, monkeypatch):
-        # Steepest descent needs about 4500 gradients here; conjugate
-        # gradient about 2000.
-        calls = 0
-        gradient = oracle._gradient
-
-        def counted(q, t):
-            nonlocal calls
-            calls += 1
-            return gradient(q, t)
-
-        monkeypatch.setattr(oracle, "_gradient", counted)
+        calls = count_gradient_calls(monkeypatch)
         for s in range(4):
             for n in (4, 5):
                 t = constructed_uecsm(n, np.random.default_rng(s))
                 verdict = brute_force_uecsm(t, restarts=8, seed=0)
                 assert verdict.outcome is OracleOutcome.UECSM
-        assert calls < 2500
+        assert calls[0] < 800
+
+    def test_gradient_calls_to_refute(self, monkeypatch):
+        calls = count_gradient_calls(monkeypatch)
+        for s in range(4):
+            for n in (4, 5):
+                rng = np.random.default_rng(100 + s)
+                t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                verdict = brute_force_uecsm(t, restarts=8, seed=0)
+                assert verdict.outcome is OracleOutcome.NOT_UECSM
+        assert calls[0] < 5000
 
 
 class TestInvariance:

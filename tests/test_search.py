@@ -8,6 +8,7 @@ across workers; hit lists come back ordered by candidate index.
 import numpy as np
 import pytest
 
+import uecsm.search
 from uecsm.criteria import classify
 from uecsm.fixtures import find_fixture
 from uecsm.search import SearchResult, _is_hit, candidate_matrix, run_search
@@ -69,6 +70,27 @@ class TestRunSearch:
         assert serial.not_uecsm == parallel.not_uecsm
         assert ([h.index for h in serial.hits]
                 == [h.index for h in parallel.hits])
+
+    def test_pool_is_no_larger_than_the_job_list(self, monkeypatch):
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(uecsm.search, "ProcessPoolExecutor", InlinePool)
+        result = run_search(3, seed=2, workers=64)
+        assert asked and max(asked) <= 3
+        assert result == run_search(3, seed=2, workers=1)
 
     def test_injected_hit_is_found(self):
         result = run_search(3, dim=4, inject=(COUNTEREXAMPLE,), seed=0)
