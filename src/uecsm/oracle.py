@@ -6,26 +6,18 @@ The brute-force oracle decides UECSM without eigenvectors: it minimizes
 
 over the unitary group.  T is UECSM exactly when the infimum is zero, so a
 descent that drives f below a small tolerance certifies membership, while a
-batch of restarts all stuck far above it is strong evidence against.  The
-optimizer is Polak-Ribiere+ conjugate gradient on U(n) (Abrudan, Eriksson
-and Koivunen, "Conjugate gradient algorithm for optimization under unitary
-matrix constraint", Signal Processing 2009; Absil, Mahony and Sepulchre,
-Optimization Algorithms on Matrix Manifolds, 2008).  Directions D live in
-the skew-Hermitian Lie algebra and the step Q <- exp(-eta D) Q multiplies
-on the left, so carrying the previous direction to the new point is the
-identity.  D = G + beta D_prev with beta = max(0, Re<G - G_prev, G> /
-||G_prev||^2); D is reset to G every n^2 iterations, whenever Re<D, G> <= 0,
-and once after a failed line search.  A failed search along G itself ends
-the restart, as do the objective floor and the gradient floor.
+batch of restarts all stuck far above it is strong evidence against.
 
-Conjugate gradient needs a near-exact line search, so the step along the
-geodesic comes from a quadratic fit, as in Abrudan et al.  A try at step s
-gives f(0), f'(0) = -Re<D, G> and f(s); the quadratic through them has its
-minimiser at s*.  The first try is at the last accepted step.  A try that
-passes Armijo is kept, and s* is tried as well when it differs from s by
-more than 5%, keeping the lower of the two.  A try that fails Armijo is
-followed by one at s* clamped to [0.1 s, 0.5 s] (safeguarded interpolating
-backtracking).
+f(Q O) = f(Q) for every real orthogonal O (M -> O^t M O) and for a global
+phase, so the search really runs over U(n)/O(n), the symmetric unitaries
+S = Q Q^t, which are the conjugations C = S J of Garcia and Putinar (J
+entrywise complex conjugation).  That space has only
+n(n+1)/2 dimensions, so the optimizer is an exact damped Newton method on
+it (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
+Manifolds, 2008, ch. 6-7; Absil, Baker and Gallivan, "Trust-region methods
+on Riemannian manifolds", Found. Comput. Math. 2007).  The step is
+Q <- Q exp(X) with X = sum_l x_l B_l, B_l = i (E_jk + E_kj) for j <= k,
+a basis of i Sym(n), the complement of o(n) in u(n).
 
 For the smooth objective h(Q) = (1/2) ||A||_F^2 with A = M - M^t, the
 first-order expansion of h(exp(eps K) Q) in a skew-Hermitian direction K
@@ -34,11 +26,32 @@ gives  dh = Re tr(G* K)  with
     G = P - P*,   P = W T - T W,   W = Q conj(A) Q*,
 
 which is the gradient used here (checked against central finite
-differences in the test suite).  One caveat worth keeping in mind: for
-real T the gradient vanishes identically at every real orthogonal Q -- the
-real locus is the fixed-point set of an isometric symmetry of h and hence
-critical -- so a descent started at the identity never moves on real
-input.  The random complex restarts are what actually explore the orbit;
+differences in the test suite).  Since Q exp(eps X) = exp(eps Q X Q*) Q,
+its coordinates are grad_l = Re tr((Q* G Q)* B_l).  With C_l = [M, B_l]
+and L_l = C_l - C_l^t, the second-order expansion of h(Q exp X) gives the
+Hessian
+
+    H_lm = Re tr(L_l* L_m) + Re tr(A* [C_l, B_m]) + Re tr(A* [C_m, B_l]).
+
+For X = i Y with Y real symmetric, L(X) = [M + M^t, X], and with the
+antisymmetry of A this reduces to the closed form used here,
+
+    x^t H x = 4 tr(Re(N + N^t) Y^2) - 8 Re tr(Y conj(M) Y M),  N = conj(M) M,
+
+whose entries are gathered from the two nonzeros of each B_l (checked
+against central second differences in the test suite).  The step is
+x = -(H + mu I)^-1 grad from one eigh of H, with mu >= -2 lambda_min so
+that the damped model is convex, started at 1e-3 max|lambda| and floored
+at 1e-12 max|lambda|.  A step whose actual decrease has ratio rho > 0 to
+the model's predicted decrease is accepted and mu scaled by max(1/3,
+1 - (2 rho - 1)^3) (Nielsen's update); a rejected step multiplies mu by
+4, and a restart ends after _MAX_TRIES rejections in a row, as it does at
+the objective floor and the gradient floor.
+
+One caveat worth keeping in mind: for real T the gradient vanishes
+identically at every real orthogonal Q -- the real locus is the fixed-point
+set of an isometric symmetry of h and hence critical -- so a descent
+started at the identity never moves on real input.  The random complex restarts are what actually explore the orbit;
 the identity start is kept only because it is free and occasionally lands
 exactly on a symmetric representative.
 
@@ -57,6 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,9 +81,7 @@ NOT_UECSM_MARGIN = 10.0
 MAX_ITERS = 2000      # descent iterations per restart
 
 _GRAD_FLOOR = 1e-14   # squared-gradient cutoff relative to ||T||^4
-_MIN_STEP = 1e-18
-_MAX_STEP = 10.0
-_ARMIJO = 1e-4
+_MAX_TRIES = 10       # damped steps per iteration; 4^10 shrinks the last ~1e6-fold
 
 
 class OracleOutcome(str, Enum):
@@ -113,64 +125,92 @@ def _expm_skew(g: np.ndarray) -> np.ndarray:
     return (vec * np.exp(-1j * w)) @ vec.conj().T
 
 
+@lru_cache(maxsize=16)
+def _basis(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only index arrays for the basis B_l = i (E_jk + E_kj), j <= k.
+
+    Returns (pos, weight, j, k, eye, left, right).  X = sum_l x_l B_l is
+    x[pos] * weight, with weight i off the diagonal and 2i on it; (j, k) are
+    triu_indices(n) and eye the flattened identity.  left and right are
+    flat indices into the stacks [I, conj(M)] and [R, M] that gather the
+    four terms of tr(Y_l U Y_m V) = U_kj' V_k'j + U_kk' V_j'j + U_jj' V_k'k
+    + U_jk' V_j'k for Y_l = E_jk + E_kj and Y_m = E_j'k' + E_k'j'.
+    """
+    j, k = np.triu_indices(n)
+    pos = np.zeros((n, n), dtype=np.intp)
+    pos[j, k] = pos[k, j] = np.arange(j.size)
+    weight = np.where(np.eye(n) > 0, 2j, 1j)
+    first = [(k, j), (k, k), (j, j), (j, k)]
+    second = [(j, k), (j, j), (k, k), (k, j)]
+    shift = np.array([0, n * n])[:, None, None]
+    left = np.concatenate([a[:, None] * n + b + shift for a, b in first])
+    right = np.concatenate([b * n + a[:, None] + shift for a, b in second])
+    out = (pos, weight, j, k, np.eye(n).ravel(), left, right)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _newton_model(q: np.ndarray, t: np.ndarray,
+                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the gradient g and the Hessian of f(q exp X) at X = 0
+    in the basis B_l (closed form in the module docstring)."""
+    _, _, j, k, eye, left, right = _basis(q.shape[0])
+    qh = q.conj().T
+    # q* g q is skew-Hermitian, so Re tr((q* g q)* B_l) = 2 Im (q* g q)_jk.
+    grad = 2.0 * (qh @ g @ q).imag[j, k]
+    m = qh @ t @ q
+    mc = m.conj()
+    nm = mc @ m
+    u = np.concatenate((eye, mc.ravel()))
+    v = np.concatenate(((4.0 * (nm + nm.T).real).ravel(), -8.0 * m.ravel()))
+    return grad, (u[left] * v[right]).sum(axis=0).real
+
+
 def _descend(t: np.ndarray, q: np.ndarray, max_iters: int,
              f_floor: float) -> float:
-    """Polak-Ribiere+ conjugate gradient from q (direction rule and resets
-    in the module docstring); returns the best objective value reached.
+    """Damped Newton descent on the quotient U(n)/O(n) from q; returns the
+    best objective value reached.
 
-    Each step is q <- exp(-s d) q.  The first try is at the last accepted
-    step s; with slope = Re<d, g>, the quadratic through f(0), f'(0) =
-    -slope and f(s) has curvature c and minimiser s* = slope / c.  A try
-    that passes Armijo is kept, and when s* differs from s by more than 5%
-    s* is tried too and the lower of the two kept.  A try that fails moves
-    to s* clamped to [0.1 s, 0.5 s] (0.5 s when c <= 0), down to _MIN_STEP.
-    The descent stops when f reaches f_floor, when ||g||^2 falls to the
-    gradient floor, or when a line search along g itself fails.
+    Each step is q <- q exp(X), X = sum_l x_l B_l over the basis B_l =
+    i (E_jk + E_kj), j <= k, with x = -(H + mu I)^-1 grad in the
+    coordinates and exact Hessian of _newton_model, taken through one eigh
+    of H.  mu is kept at or above -2 lambda_min and 1e-12 max|lambda|,
+    starting at 1e-3 max|lambda|.  A step whose actual decrease has ratio
+    rho > 0 to the model's is accepted and mu scaled by max(1/3,
+    1 - (2 rho - 1)^3); otherwise mu is multiplied by 4, and after
+    _MAX_TRIES rejections the restart ends.  The descent also stops when f
+    reaches f_floor or ||g||^2 falls to the gradient floor.
     """
+    pos, weight = _basis(q.shape[0])[:2]
     f = _objective(q, t)
     t_norm2 = float(np.linalg.norm(t)) ** 2
     grad_floor = _GRAD_FLOOR * t_norm2 ** 2
-    period = q.shape[0] ** 2
-    step = 0.1
-    for k in range(max_iters):
+    mu = None
+    for _ in range(max_iters):
         if f <= f_floor:
             break
         g = _gradient(q, t)
-        gn2 = float(np.vdot(g, g).real)
-        if gn2 <= grad_floor:
+        if float(np.vdot(g, g).real) <= grad_floor:
             break
-        d = g
-        if k % period:
-            beta = max(0.0, float(np.vdot(g - g_prev, g).real) / gn2_prev)
-            d = g + beta * d_prev
-            if np.vdot(d, g).real <= 0.0:
-                d = g
-        start = min(step, _MAX_STEP)
-        accepted = False
-        while True:
-            slope = float(np.vdot(d, g).real)
-            s = start
-            while s > _MIN_STEP:
-                q_try = _expm_skew(-s * d) @ q
-                f_try = _objective(q_try, t)
-                c = 2.0 * (f_try - f + slope * s) / (s * s)
-                if f_try <= f - _ARMIJO * s * slope:
-                    accepted = True
-                    break
-                s = min(max(slope / c, 0.1 * s), 0.5 * s) if c > 0.0 else 0.5 * s
-            if accepted or d is g:
+        grad, hess = _newton_model(q, t, g)
+        lam, vec = np.linalg.eigh(hess)
+        lo, scale = float(lam[0]), float(max(-lam[0], lam[-1]))
+        mu = max(1e-3 * scale if mu is None else mu, -2.0 * lo, 1e-12 * scale)
+        g_eig = vec.T @ grad
+        for _ in range(_MAX_TRIES):
+            x_eig = -g_eig / (lam + mu)
+            predicted = -float(g_eig @ x_eig + 0.5 * (lam * x_eig) @ x_eig)
+            q_try = q @ _expm_skew((vec @ x_eig)[pos] * weight)
+            f_try = _objective(q_try, t)
+            rho = (f - f_try) / predicted
+            if rho > 0.0:
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 break
-            d = g
-        if not accepted:
+            mu *= 4.0
+        else:
             break
-        fit = min(slope / c, _MAX_STEP) if c > 0.0 else s
-        if abs(fit - s) > 0.05 * s:
-            q_fit = _expm_skew(-fit * d) @ q
-            f_fit = _objective(q_fit, t)
-            if f_fit < f_try:
-                q_try, f_try, s = q_fit, f_fit, fit
-        q, f, step = q_try, f_try, s
-        g_prev, gn2_prev, d_prev = g, gn2, d
+        q, f = q_try, f_try
     return f
 
 
@@ -217,10 +257,15 @@ def brute_force_uecsm(
 
 def nilpotent3_verdict(a: complex, b: complex,
                        cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Exact UECSM verdict for [[0,a,0],[0,0,b],[0,0,0]]: ab = 0 or |a| = |b|."""
-    if abs(a) <= cfg.zero_tol or abs(b) <= cfg.zero_tol:
+    """Exact UECSM verdict for [[0,a,0],[0,0,b],[0,0,0]]: ab = 0 or |a| = |b|.
+
+    Both comparisons are relative to max(|a|, |b|), so scaling the matrix
+    never changes the verdict.
+    """
+    small, big = sorted((abs(a), abs(b)))
+    if small <= cfg.zero_tol * big:
         return True
-    return bool(abs(abs(a) - abs(b)) <= cfg.match_tol)
+    return bool(big - small <= cfg.match_tol * big)
 
 
 def cartesian_parts(t) -> tuple[np.ndarray, np.ndarray]:

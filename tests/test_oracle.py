@@ -2,8 +2,10 @@
 
 The manifold gradient is checked against central finite differences: for a
 skew-Hermitian direction K the derivative of h(exp(eps K) Q) at eps = 0
-must equal Re tr(G* K).  Verdicts are checked against the published
-nilpotent table rows and their unitary conjugates.
+must equal Re tr(G* K).  The Newton model's gradient coordinates and
+Hessian are checked the same way against first and second differences of
+f(Q exp X) in the basis B_l = i (E_jk + E_kj).  Verdicts are checked
+against the published nilpotent table rows and their unitary conjugates.
 """
 
 import numpy as np
@@ -14,8 +16,10 @@ from uecsm.fixtures import TABLE2, TABLE3, family_member
 from uecsm.oracle import (
     ORACLE_TOL,
     OracleOutcome,
+    _basis,
     _expm_skew,
     _gradient,
+    _newton_model,
     _objective,
     brute_force_uecsm,
     cartesian_parts,
@@ -69,6 +73,59 @@ class TestGradient:
         g_q = _gradient(q.astype(complex), t)
         assert np.abs(g_id).max() < 1e-12
         assert np.abs(g_q).max() < 1e-12
+
+
+def symmetric_direction(x, n):
+    """sum_l x_l B_l with B_l = i (E_jk + E_kj) over triu_indices(n)."""
+    out = np.zeros((n, n), dtype=np.complex128)
+    for x_l, j, k in zip(x, *np.triu_indices(n)):
+        out[j, k] += 1j * x_l
+        out[k, j] += 1j * x_l
+    return out
+
+
+class TestNewtonModel:
+    def test_basis_indices_build_the_direction(self):
+        rng = np.random.default_rng(19)
+        for n in (2, 4, 5):
+            x = rng.standard_normal(n * (n + 1) // 2)
+            pos, weight = _basis(n)[:2]
+            np.testing.assert_array_equal(x[pos] * weight,
+                                          symmetric_direction(x, n))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_finite_differences(self, n):
+        rng = np.random.default_rng(20 + n)
+        dim = n * (n + 1) // 2
+        eps = 1e-4
+        for _ in range(3):
+            t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            q = random_unitary(n, rng)
+            grad, hess = _newton_model(q, t, _gradient(q, t))
+
+            def f(x):
+                return _objective(q @ _expm_skew(symmetric_direction(x, n)), t)
+
+            steps = eps * np.eye(dim)
+            fd_grad = [(f(e) - f(-e)) / (2 * eps) for e in steps]
+            fd_hess = [[(f(a + b) - f(a - b) - f(b - a) + f(-a - b))
+                        / (4 * eps * eps) for b in steps] for a in steps]
+            np.testing.assert_allclose(grad, fd_grad, rtol=0,
+                                       atol=1e-6 * np.abs(fd_grad).max())
+            np.testing.assert_allclose(hess, fd_hess, rtol=0,
+                                       atol=1e-6 * np.abs(fd_hess).max())
+
+    def test_objective_invariant_under_real_orthogonal_and_phase(self):
+        # The descent runs on U(n)/O(n): f(Q O) = f(Q) for real orthogonal
+        # O, and a global phase changes nothing either.
+        rng = np.random.default_rng(21)
+        for n in (3, 4, 5):
+            t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            q = random_unitary(n, rng)
+            o, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            f = _objective(q, t)
+            assert _objective(q @ o, t) == pytest.approx(f, rel=1e-12)
+            assert _objective(np.exp(0.7j) * q, t) == pytest.approx(f, rel=1e-12)
 
 
 class TestExpmSkew:
@@ -156,9 +213,9 @@ def count_gradient_calls(monkeypatch):
 
 
 class TestDescentBudget:
-    # The quadratic-fit line search needs about 350 gradients to certify
-    # these and 2900 to refute them; plain Armijo halving needed about
-    # 2000 and 11 000, so the bounds catch a fall back to it.
+    # Damped Newton needs about 110 gradients to certify these and 830 to
+    # refute them; conjugate gradient with a quadratic-fit line search
+    # needed about 350 and 2900, so the bounds catch a fall back to it.
     def test_gradient_calls_to_certify(self, monkeypatch):
         calls = count_gradient_calls(monkeypatch)
         for s in range(4):
@@ -166,7 +223,7 @@ class TestDescentBudget:
                 t = constructed_uecsm(n, np.random.default_rng(s))
                 verdict = brute_force_uecsm(t, restarts=8, seed=0)
                 assert verdict.outcome is OracleOutcome.UECSM
-        assert calls[0] < 800
+        assert calls[0] < 200
 
     def test_gradient_calls_to_refute(self, monkeypatch):
         calls = count_gradient_calls(monkeypatch)
@@ -176,7 +233,7 @@ class TestDescentBudget:
                 t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 verdict = brute_force_uecsm(t, restarts=8, seed=0)
                 assert verdict.outcome is OracleOutcome.NOT_UECSM
-        assert calls[0] < 5000
+        assert calls[0] < 1600
 
 
 class TestInvariance:
@@ -192,6 +249,17 @@ class TestInvariance:
                 verdict = brute_force_uecsm(variant, restarts=8)
                 assert verdict.outcome is expected
 
+    def test_outcome_survives_scaling_by_powers_of_ten(self):
+        # The damped Newton step is invariant under scaling T; a descent
+        # with step bounds fixed in absolute terms is not.
+        rng = np.random.default_rng(22)
+        cases = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                  OracleOutcome.NOT_UECSM) for n in (4, 5)]
+        cases += [(constructed_uecsm(n, rng), OracleOutcome.UECSM) for n in (4, 5)]
+        for t, expected in cases:
+            for c in (1e-30, 1e-5, 1e10, 1e30):
+                assert brute_force_uecsm(c * t, restarts=8).outcome is expected
+
 
 class TestNilpotent3:
     def test_published_pairs(self):
@@ -205,6 +273,15 @@ class TestNilpotent3:
     def test_equal_moduli_any_phase(self):
         assert nilpotent3_verdict(3, 3 * np.exp(1.3j)) is True
         assert nilpotent3_verdict(3, 3.1) is False
+
+    def test_verdict_survives_scaling(self):
+        # Scaling the matrix scales a and b together, which never changes
+        # membership, so neither comparison may be absolute.
+        pairs = [(18, 18j), (18, 9j), (0, 7), (3, 3 * np.exp(1.3j)), (3, 3.1)]
+        for a, b in pairs:
+            expected = nilpotent3_verdict(a, b)
+            for c in (1e-9, 1e6):
+                assert nilpotent3_verdict(c * a, c * b) is expected
 
 
 class TestDirectSumZero:

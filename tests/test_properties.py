@@ -3,7 +3,8 @@
 UECSM membership is a property of the unitary orbit, so the final verdict
 must survive unitary conjugation; T = U S U* with S symmetric gives
 T^t = conj(U) S conj(U)* and cT = U (cS) U*, so it must survive
-transposition and scaling too.  Every complex symmetric matrix is
+transposition and scaling too, and T (+) 0_1 = (U (+) 1)(S (+) 0_1)(U (+) 1)*
+keeps it as well.  Every complex symmetric matrix is
 trivially UECSM, so ``classify`` must certify it.  Matrices are
 drawn from seed integers, and hypothesis runs derandomized, so every run
 checks the same examples.
@@ -43,6 +44,15 @@ def test_verdict_survives_conjugation_transpose_and_scaling(seed, n, symmetric_c
     final = classify(t).final
     for variant in (q @ t @ q.conj().T, t.T, (2 - 3j) * t):
         assert classify(variant).final is final
+
+
+@PROPERTY
+@given(seed=SEEDS, n=SIZES, symmetric_core=st.booleans())
+def test_verdict_survives_zero_block(seed, n, symmetric_core):
+    t = drawn_matrix(seed, n, symmetric_core)
+    padded = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    padded[:n, :n] = t
+    assert classify(padded).final is classify(t).final
 
 
 @PROPERTY
