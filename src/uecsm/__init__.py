@@ -53,6 +53,7 @@ from .linalg import (
     adjoint,
     as_matrix,
     determinant,
+    eigensystem,
     eigenvalues,
     unit_eigenvector,
 )
@@ -90,7 +91,8 @@ __all__ = [
     "FIXTURE_GROUPS", "Fixture", "family_member", "find_fixture",
     "DEFAULT_TOLERANCES", "EigenSolverError", "LinearAlgebraError",
     "NumericalBreakdownError", "ToleranceConfig",
-    "adjoint", "as_matrix", "determinant", "eigenvalues", "unit_eigenvector",
+    "adjoint", "as_matrix", "determinant", "eigensystem", "eigenvalues",
+    "unit_eigenvector",
     "ORACLE_TOL", "OracleOutcome", "OracleVerdict", "brute_force_uecsm",
     "cartesian_parts", "nilpotent3_verdict",
     "random_unitary", "tener_applicable",

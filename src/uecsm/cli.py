@@ -123,7 +123,7 @@ def cmd_classify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        report = classify(doc.matrix(), cfg, seed=args.seed)
+        report = classify(doc.matrix(), cfg)
         oracle = None
         if args.oracle:
             oracle = brute_force_uecsm(doc.matrix(), restarts=args.restarts,
@@ -234,7 +234,7 @@ def cmd_fixtures(args) -> int:
     for group in groups:
         for fx in FIXTURE_GROUPS[group]:
             pieces = []
-            report = classify(fx.matrix(), cfg, seed=args.seed)
+            report = classify(fx.matrix(), cfg)
             text, ok = _check(f"classify {report.final.value}",
                               report.final.value == fx.expected_final)
             pieces.append(text)
@@ -278,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser(
         "classify", help="classify one matrix from a matrix document")
     p_classify.add_argument("matrix", help="path to a matrix document ('-' for stdin)")
-    p_classify.add_argument("--seed", type=int, default=0)
+    p_classify.add_argument("--seed", type=int, default=0,
+                            help="oracle restart seed; classification draws no "
+                                 "random numbers")
     p_classify.add_argument("--json", default=None, metavar="PATH",
                             help="write the report document here ('-' for stdout)")
     p_classify.add_argument("--oracle", action="store_true",
@@ -312,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fixtures.add_argument("--only", default="all",
                             choices=["all", *FIXTURE_GROUPS],
                             help="restrict to one fixture group")
-    p_fixtures.add_argument("--seed", type=int, default=0)
+    p_fixtures.add_argument("--seed", type=int, default=0,
+                            help="oracle restart seed; classification draws no "
+                                 "random numbers")
     p_fixtures.add_argument("--restarts", type=int, default=16,
                             help="oracle restart budget for table rows")
     p_fixtures.set_defaults(func=cmd_fixtures)

@@ -188,8 +188,12 @@ def classify(
     its certificate attached.  Inputs without a (numerically) distinct
     spectrum yield NotApplicable with every test marked accordingly.
     Numerical breakdown inside the eigensystem propagates as an error.
+
+    ``seed`` is accepted and ignored: the pipeline draws no random numbers.
+    It stays because callers, among them ``run_search`` and stand-ins that
+    replace ``classify`` with the signature ``(m, cfg, seed)``, pass it.
     """
-    sd = compute_spectral_data(t, cfg, seed=seed)
+    sd = compute_spectral_data(t, cfg)
     if isinstance(sd, NotApplicable):
         verdicts = tuple(TestVerdict(kind, Outcome.NOT_APPLICABLE) for kind in TEST_KINDS)
         return ClassificationReport(

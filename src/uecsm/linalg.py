@@ -8,12 +8,12 @@ product convention is linear in the *first* argument,
 which is ``np.vdot(y, x)``.  Getting this backwards silently conjugates
 every Gram matrix, which the criteria tests do notice.
 
-Eigenvalues and determinants are delegated to LAPACK (Hessenberg + shifted
-QR, and LU with partial pivoting respectively); the two routes share no
-code, which keeps the determinant usable as an independent cross-check on
-eigenvector matrices.  Eigenvectors are refined here by inverse iteration
-so that their residuals sit near machine precision rather than at the
-loose contract bound.
+Eigenpairs and determinants come from LAPACK (Hessenberg + shifted QR, and
+LU with partial pivoting); the two routes share no code, which keeps the
+determinant usable as an independent cross-check on eigenvector matrices.
+LAPACK's eigenvectors are refined here by inverse iteration only where
+their residuals miss a target near machine precision, so no vector rests
+at the loose contract bound.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def as_matrix(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("empty matrix")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -89,54 +89,54 @@ def determinant(m) -> complex:
     return complex(np.linalg.det(as_matrix(m)))
 
 
-def eigenvalues(m) -> np.ndarray:
-    """All eigenvalues with multiplicity, sorted ascending by (Re, Im)."""
-    a = as_matrix(m)
+def _lapack(solver, m):
     try:
-        lam = np.linalg.eigvals(a)
+        return solver(as_matrix(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise EigenSolverError(f"eigenvalue iteration did not converge: {exc}") from exc
+
+
+def eigenvalues(m) -> np.ndarray:
+    """All eigenvalues with multiplicity, sorted ascending by (Re, Im)."""
+    lam = _lapack(np.linalg.eigvals, m)
+    return lam[np.lexsort((lam.imag, lam.real))]
+
+
+def eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs from one LAPACK ``eig``, sorted as ``eigenvalues`` sorts them."""
+    lam, vec = _lapack(np.linalg.eig, m)
     order = np.lexsort((lam.imag, lam.real))
-    return lam[order]
+    return lam[order], vec[:, order]
 
 
-def unit_eigenvector(m, lam: complex, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Unit eigenvector of ``m`` for the (accurate) eigenvalue ``lam``.
-
-    Inverse iteration with the shift perturbed by 1e-12 * ||m|| so the
-    shifted system is merely ill-conditioned instead of exactly singular;
-    the ill-conditioning is what amplifies the wanted eigendirection.
+def unit_eigenvector(m, lam, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *,
+                     start) -> np.ndarray:
+    """Unit eigenvectors of ``m`` for the (accurate) eigenvalues ``lam``:
+    the columns of ``start``, normalized, each refined by inverse iteration
+    from itself if it misses the residual target.  The shift is perturbed by
+    1e-12 * ||m|| so the shifted system is ill-conditioned but not singular.
+    Raises EigenSolverError if a residual stays above zero_tol * ||m||.
     """
     a = as_matrix(m)
-    n = a.shape[0]
+    x = np.asarray(start, dtype=np.complex128) / np.linalg.norm(start, axis=0)
     scale = float(np.linalg.norm(a))
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    if scale == 0.0:
-        # Every unit vector is an eigenvector of the zero matrix at 0.
-        if lam == 0:
-            return x
-        raise EigenSolverError(f"zero matrix has no eigenvalue {lam}")
-
-    perturb = 1e-12
-    shifted = a - (lam + perturb * scale) * np.eye(n)
-    target = max(_REFINE_FACTOR * scale, 1e3 * np.abs(lam) * _EPS)
-    residual = np.inf
-    for _ in range(_MAX_INVERSE_STEPS):
-        try:
-            x = np.linalg.solve(shifted, x)
-        except np.linalg.LinAlgError:
-            # Exactly singular shift: back off and rebuild the system.
-            perturb *= 1e3
-            shifted = a - (lam + perturb * scale) * np.eye(n)
-            continue
-        x /= np.linalg.norm(x)
-        residual = float(np.linalg.norm(a @ x - lam * x))
-        if residual <= target:
-            break
-    if residual > cfg.zero_tol * scale:
-        raise EigenSolverError(
-            f"inverse iteration stalled at residual {residual:.3e} "
-            f"(bound {cfg.zero_tol * scale:.3e}) for eigenvalue {lam}")
+    target = np.maximum(_REFINE_FACTOR * scale, 1e3 * np.abs(lam) * _EPS)
+    residual = np.linalg.norm(a @ x - x * lam, axis=0)
+    for i in np.flatnonzero(~(residual <= target)):
+        perturb = 1e-12
+        for _ in range(_MAX_INVERSE_STEPS):
+            shifted = a - (lam[i] + perturb * scale) * np.eye(len(a))
+            try:
+                y = np.linalg.solve(shifted, x[:, i])
+            except np.linalg.LinAlgError:
+                perturb *= 1e3    # exactly singular shift: back off
+                continue
+            x[:, i] = y / np.linalg.norm(y)
+            residual[i] = np.linalg.norm(a @ x[:, i] - lam[i] * x[:, i])
+            if residual[i] <= target[i]:
+                break
+    for i in np.flatnonzero(~(residual <= cfg.zero_tol * scale)):
+        raise EigenSolverError(    # on the first column that stalled
+            f"inverse iteration stalled at residual {residual[i]:.3e} "
+            f"(bound {cfg.zero_tol * scale:.3e}) for eigenvalue {lam[i]}")
     return x

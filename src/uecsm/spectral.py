@@ -15,9 +15,11 @@ the spectrum is only "distinct" beyond working precision (a gap check alone
 cannot see this -- a defective cluster splits its eigenvalue by roughly
 eps**(1/3) * ||T||, far above any reasonable gap tolerance).
 
-Each vector carries an arbitrary unimodular phase.  Everything consumed
-downstream is either phase-invariant or covariant in a controlled way, and
-the criteria tests are checked for exactly this invariance.
+Both bases come from one LAPACK ``eig`` of T, v_i from the columns of
+inv(U)* (the left eigenvectors); a column is refined only where its
+residual misses a target near machine precision.  Each vector keeps the
+arbitrary unimodular phase it comes with; everything consumed downstream
+is phase-invariant or covariant in a controlled way, and tested for it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .linalg import (
     ToleranceConfig,
     adjoint,
     as_matrix,
+    eigensystem,
     eigenvalues,
     unit_eigenvector,
 )
@@ -139,7 +142,6 @@ def assert_distinct_spectrum(
 def compute_spectral_data(
     t,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    seed: int = 0,
 ) -> SpectralData | NotApplicable:
     """Compute the full paired eigensystem of ``t``, or NotApplicable.
 
@@ -147,14 +149,15 @@ def compute_spectral_data(
     gap tolerance; the adjoint's computed spectrum fails to pair with the
     conjugated eigenvalues within half the gap threshold; or some
     |<u_i, v_i>| falls below zero_tol (spectrum effectively degenerate at
-    working precision).  An off-diagonal biorthogonality violation, by
-    contrast, is raised as NumericalBreakdownError: with a genuinely
-    separated spectrum that cannot happen short of solver failure.
+    working precision).  A singular eigenvector matrix or an off-diagonal
+    biorthogonality violation, by contrast, is raised as
+    NumericalBreakdownError: with a genuinely separated spectrum neither
+    can happen short of solver failure.  Nothing here is random.
     """
     a = as_matrix(t)
     n = a.shape[0]
     scale = float(np.linalg.norm(a))
-    lam = eigenvalues(a)
+    lam, u = eigensystem(a)
     verdict = assert_distinct_spectrum(lam, cfg, scale=scale)
     if verdict is not None:
         return verdict
@@ -180,15 +183,12 @@ def compute_spectral_data(
         matched[i] = k
         taken[k] = True
 
-    master = np.random.SeedSequence(seed)
-    streams = master.spawn(2 * n)
-    u = np.empty((n, n), dtype=np.complex128)
-    v = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        u[:, i] = unit_eigenvector(a, lam[i], cfg,
-                                   rng=np.random.default_rng(streams[i]))
-        v[:, i] = unit_eigenvector(a_star, mu[matched[i]], cfg,
-                                   rng=np.random.default_rng(streams[n + i]))
+    try:
+        left = np.linalg.inv(u).conj().T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdownError(f"eigenvector matrix is singular: {exc}") from exc
+    u = unit_eigenvector(a, lam, cfg, start=u)
+    v = unit_eigenvector(a_star, mu[matched], cfg, start=left)
 
     e = v.conj().T @ u
     e_diag = np.diag(e).copy()

@@ -39,7 +39,7 @@ from uecsm.fixtures import (
 )
 from uecsm.conjugation import build_beta
 from uecsm.oracle import random_unitary
-from uecsm.spectral import assert_distinct_spectrum, compute_spectral_data
+from uecsm.spectral import SpectralData, assert_distinct_spectrum, compute_spectral_data
 
 
 def outcomes_by_kind(report):
@@ -221,16 +221,20 @@ class TestNotApplicableReports:
 
 class TestInvariances:
     def test_phase_invariance(self):
-        # Re-seeding changes every eigenvector phase; verdicts and witness
-        # discrepancies must not move.
+        # Random unimodular phases on every eigenvector must not move the
+        # outcomes or the witness discrepancies.
+        rng = np.random.default_rng(11)
+        tests = (angle_test, grammian_test, parallelepiped_test, strong_angle_test)
         for label in ("necessary-tests-fail", "closed-form-s",
                       "strong-angle-counterexample"):
-            t = find_fixture(label).matrix()
-            base = classify(t, seed=0)
-            for seed in (1, 2, 3):
-                again = classify(t, seed=seed)
-                assert again.final is base.final
-                for v0, v1 in zip(base.verdicts, again.verdicts):
+            sd = compute_spectral_data(find_fixture(label).matrix())
+            base = [test(sd) for test in tests]
+            for _ in range(3):
+                pu, pv = np.exp(2j * np.pi * rng.random((2, sd.n)))
+                moved = SpectralData.from_bases(sd.lambdas, sd.u_basis * pu,
+                                                sd.v_basis * pv)
+                for test, v0 in zip(tests, base):
+                    v1 = test(moved)
                     assert v0.outcome is v1.outcome
                     assert v1.witness.discrepancy == pytest.approx(
                         v0.witness.discrepancy, abs=1e-9)

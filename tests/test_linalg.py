@@ -17,6 +17,7 @@ from uecsm.linalg import (
     adjoint,
     as_matrix,
     determinant,
+    eigensystem,
     eigenvalues,
     unit_eigenvector,
 )
@@ -74,33 +75,64 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(np.zeros((2, 3)))
 
+    def test_eigensystem_pairs_sorted_values_with_columns(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 5, 8):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            lam, vec = eigensystem(a)
+            np.testing.assert_allclose(lam, eigenvalues(a), atol=1e-12)
+            assert np.array_equal(np.lexsort((lam.imag, lam.real)), np.arange(n))
+            np.testing.assert_allclose(np.linalg.norm(vec, axis=0), 1.0, atol=1e-13)
+            assert np.linalg.norm(a @ vec - vec * lam) <= 1e-12 * np.linalg.norm(a)
+
 
 class TestUnitEigenvector:
     def test_residual_near_machine_precision(self):
         rng = np.random.default_rng(3)
-        for trial in range(20):
+        for _ in range(20):
             n = int(rng.integers(2, 7))
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             scale = np.linalg.norm(a)
-            for lam in eigenvalues(a):
-                x = unit_eigenvector(a, lam, rng=np.random.default_rng(trial))
-                assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-13)
-                assert np.linalg.norm(a @ x - lam * x) <= 1e-12 * scale
+            lam, start = eigensystem(a)
+            x = unit_eigenvector(a, lam, start=start)
+            np.testing.assert_allclose(np.linalg.norm(x, axis=0), 1.0, atol=1e-13)
+            assert np.linalg.norm(a @ x - x * lam, axis=0).max() <= 1e-12 * scale
+
+    def test_start_on_target_is_only_normalized(self):
+        a = np.diag([1.0, 2.0, 4.0])
+        start = np.diag([3.0, -2j, 0.5]) + 1e-17
+        x = unit_eigenvector(a, [1.0, 2.0, 4.0], start=start)
+        assert np.array_equal(x, start / np.linalg.norm(start, axis=0))
+
+    def test_perturbed_start_is_refined(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        lam, exact = eigensystem(a)
+        start = exact + 1e-3 * rng.standard_normal((5, 5))
+        x = unit_eigenvector(a, lam, start=start)
+        assert np.linalg.norm(a @ x - x * lam, axis=0).max() <= 1e-12 * np.linalg.norm(a)
+        # Each column stays on its own eigenline.
+        overlap = np.abs(np.einsum("ki,ki->i", exact.conj(), x))
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-10)
+
+    def test_stalled_column_raises(self):
+        # An eigenvalue off by 1e-6 caps the residual far above zero_tol.
+        a = np.diag([1.0, 2.0])
+        with pytest.raises(EigenSolverError, match="stalled"):
+            unit_eigenvector(a, [1.0, 2.0 + 1e-6], start=np.eye(2))
 
     def test_zero_matrix_at_zero_eigenvalue(self):
-        x = unit_eigenvector(np.zeros((1, 1)), 0.0,
-                             rng=np.random.default_rng(0))
+        x = unit_eigenvector(np.zeros((1, 1)), [0.0], start=[[2.0]])
         assert np.linalg.norm(x) == pytest.approx(1.0)
 
     def test_zero_matrix_at_nonzero_eigenvalue_raises(self):
         with pytest.raises(EigenSolverError):
-            unit_eigenvector(np.zeros((2, 2)), 1.0,
-                             rng=np.random.default_rng(0))
+            unit_eigenvector(np.zeros((2, 2)), [0.0, 1.0], start=np.eye(2))
 
     def test_wildly_wrong_eigenvalue_raises(self):
         a = np.diag([1.0, 2.0])
         with pytest.raises(EigenSolverError):
-            unit_eigenvector(a, 1000.0, rng=np.random.default_rng(0))
+            unit_eigenvector(a, [1.0, 1000.0], start=np.eye(2))
 
 
 class TestHelpers:

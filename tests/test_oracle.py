@@ -260,6 +260,19 @@ class TestInvariance:
             for c in (1e-30, 1e-5, 1e10, 1e30):
                 assert brute_force_uecsm(c * t, restarts=8).outcome is expected
 
+    def test_outcome_survives_extreme_scales(self):
+        # Squared and fourth-power norms of T leave the float range at these
+        # scales unless the oracle first brings T to unit size.
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 4, 5):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for t in (g, g + g.T):
+                expected = brute_force_uecsm(t, restarts=4)
+                for c in (1e-200, 1e-100, 1e80, 1e200):
+                    verdict = brute_force_uecsm(c * t, restarts=4)
+                    assert verdict.outcome is expected.outcome
+                    assert verdict.restarts_used == expected.restarts_used
+
 
 class TestNilpotent3:
     def test_published_pairs(self):

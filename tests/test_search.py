@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import uecsm.search
-from uecsm.criteria import classify
+from uecsm.criteria import FinalVerdict, classify
 from uecsm.fixtures import find_fixture
 from uecsm.search import SearchResult, _is_hit, candidate_matrix, run_search
 
@@ -55,6 +55,19 @@ class TestRunSearch:
         assert (a.not_applicable, a.breakdown, a.uecsm, a.not_uecsm) == \
                (b.not_applicable, b.breakdown, b.uecsm, b.not_uecsm)
         assert [h.index for h in a.hits] == [h.index for h in b.hits]
+
+    def test_verdict_stream_is_pinned(self):
+        # Counts and hits of the first 2000 candidates, pinned so that a
+        # change to the eigensystem cannot move the verdict stream silently.
+        # Candidate 550 has an exactly repeated, defective eigenvalue: its
+        # adjoint spectrum does not pair with the conjugated eigenvalues, so
+        # it is NotApplicable; pairing with conj(lambda) would call it NotUECSM.
+        result = run_search(2000, seed=0)
+        assert (result.candidates, result.not_applicable, result.breakdown,
+                result.uecsm, result.not_uecsm) == (2000, 2, 0, 4, 1994)
+        assert [h.index for h in result.hits] == []
+        assert classify(candidate_matrix(0, 550, 3, -9, 9)).final \
+            is FinalVerdict.NOT_APPLICABLE
 
     def test_counts_are_a_partition(self):
         result = run_search(500, seed=0)
