@@ -15,6 +15,7 @@ path that cannot be written is bad input for every command.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -61,22 +62,24 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.9g}{z.imag:+.9g}i"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_BAD_INPUT; argparse's 2 is EXIT_NOT_APPLICABLE."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_tolerance_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eig-gap-tol", type=float, default=None,
-                        help="relative eigenvalue gap tolerance (default 1e-8)")
-    parser.add_argument("--zero-tol", type=float, default=None,
-                        help="threshold for treating quantities as zero (default 1e-9)")
-    parser.add_argument("--match-tol", type=float, default=None,
-                        help="acceptance band for the equality tests (default 1e-7)")
+    for field in dataclasses.fields(ToleranceConfig):
+        parser.add_argument("--" + field.name.replace("_", "-"), type=float,
+                            default=field.default, metavar="TOL",
+                            help="ToleranceConfig.%(dest)s (default %(default)g)")
 
 
 def _config_from_args(args) -> ToleranceConfig:
-    overrides = {}
-    for name in ("eig_gap_tol", "zero_tol", "match_tol"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return ToleranceConfig(**overrides)
+    return ToleranceConfig(**{field.name: getattr(args, field.name)
+                              for field in dataclasses.fields(ToleranceConfig)})
 
 
 def _read_text(path: str) -> str:
@@ -269,7 +272,7 @@ def cmd_fixtures(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uecsm",
         description="Decide unitary equivalence to a complex symmetric matrix",
     )

@@ -11,11 +11,9 @@ be read off any row once the matrix is complete.  The first row is used,
 fixing the gauge alpha_1 = 1; alpha as a whole is determined only up to one
 global unimodular factor, and S inherits exactly that ambiguity.
 
-Partially defined beta matrices are completed index by index: when the new
-index is linked to the already-completed block by some defined entry, that
-entry anchors the remaining ones through multiplicativity; when it is not
-linked at all, the connecting phase is a genuinely free unimodular choice
-and is set to 1.
+Partially defined beta matrices are completed as that rank-one matrix by
+one walk over alpha (``complete_beta``), where an index linked to no
+earlier one has a genuinely free phase, set to 1.
 
 With alpha in hand,
 
@@ -38,6 +36,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     LinearAlgebraError,
     ToleranceConfig,
+    power_of_two_rescale,
 )
 from .spectral import SpectralData, gram_pair, pair_indices
 
@@ -132,33 +131,25 @@ def build_beta(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> B
 
 
 def complete_beta(b: BetaMatrix) -> BetaMatrix:
-    """Fill the undefined entries of ``b`` through multiplicativity.
+    """Fill the undefined entries of ``b`` with conj(alpha)^t alpha.
 
-    Grows the fully defined leading block one index at a time.  For the new
-    column, the lowest defined row (if any) anchors the rest via
-    beta_(i,new) = beta_(i,anchor) * beta_(anchor,new); with no defined row
-    the connecting phase is free and beta_(1,new) is set to 1.  Assumes the
-    defined entries already satisfy multiplicativity (strong angle pass);
-    no consistency is re-checked here.
+    One walk over alpha: alpha_1 = 1, and each later alpha_j = alpha_i
+    beta_ij for the lowest i < j with beta_ij defined, or 1 when there is
+    none (the phase is free).  Defined entries are kept, so row 1 of the
+    result is alpha.  Assumes the defined entries already satisfy
+    multiplicativity (strong angle pass); no consistency is re-checked here.
     """
     n = b.n
-    entries = b.entries.copy()
-    defined = b.defined.copy()
-    for new in range(1, n):
-        anchors = [i for i in range(new) if defined[i, new]]
-        if anchors:
-            anchor = anchors[0]
-        else:
-            entries[0, new] = 1.0
-            entries[new, 0] = 1.0
-            defined[0, new] = defined[new, 0] = True
-            anchor = 0
-        for i in range(new):
-            if not defined[i, new]:
-                entries[i, new] = entries[i, anchor] * entries[anchor, new]
-                entries[new, i] = np.conj(entries[i, new])
-                defined[i, new] = defined[new, i] = True
-    return BetaMatrix(entries=entries, defined=defined,
+    anchors = b.defined.argmax(axis=0).tolist()    # lowest defined row per column
+    column = b.entries[anchors, range(n)].tolist()
+    alpha = [1.0 + 0j] * n
+    for j in range(1, n):
+        i = anchors[j]
+        if i < j:
+            alpha[j] = alpha[i] * column[j]
+    alpha = np.array(alpha)
+    entries = np.where(b.defined, b.entries, np.outer(alpha.conj(), alpha))
+    return BetaMatrix(entries=entries, defined=np.ones_like(b.defined),
                       min_divisor=b.min_divisor)
 
 
@@ -189,10 +180,9 @@ def verify_certificate(
     s: np.ndarray,
     sd: SpectralData,
     alpha,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> ConjugationCertificate:
     """Measure the four defining identities of S; residuals encode failure."""
-    a = np.asarray(t, dtype=np.complex128)
+    a = power_of_two_rescale(t)[0]
     al = np.asarray(alpha, dtype=np.complex128).ravel()
     n = sd.n
     t_norm = float(np.linalg.norm(a))

@@ -219,7 +219,7 @@ def classify(
     beta = complete_beta(build_beta(sd, cfg))
     alpha = extract_alpha(beta)
     s = build_s(sd, alpha, cfg)
-    certificate = verify_certificate(t, s, sd, alpha, cfg)
+    certificate = verify_certificate(t, s, sd, alpha)
     divisor = min(beta.min_divisor, float(np.abs(sd.e_diag).min()))
     certificate = dataclasses.replace(certificate, beta_min_divisor=divisor)
     return ClassificationReport(

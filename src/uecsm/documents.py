@@ -73,7 +73,10 @@ def _is_pair(value) -> bool:
 def _pair_to_complex(value, where: str) -> complex:
     if not _is_pair(value):
         raise DocumentError(f"{where}: expected an [re, im] number pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    try:
+        return complex(float(value[0]), float(value[1]))
+    except OverflowError:    # an integer literal beyond the float range
+        raise DocumentError(f"{where}: number too large for a float") from None
 
 
 def _encode(value):

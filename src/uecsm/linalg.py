@@ -18,6 +18,7 @@ at the loose contract bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,7 @@ class ToleranceConfig:
     match_tol: float = 1e-7
 
     def __post_init__(self):
-        for name in ("eig_gap_tol", "zero_tol", "match_tol"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not (value > 0.0 and np.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.zero_tol > self.match_tol:
@@ -79,6 +79,22 @@ def as_matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
+
+
+def complex_ldexp(z: np.ndarray, e: int) -> np.ndarray:
+    """z * 2**e, exact with signed zeros: ``np.ldexp`` on the interleaved parts."""
+    return np.ldexp(np.ascontiguousarray(z).view(np.float64), e).view(np.complex128)
+
+
+def power_of_two_rescale(m) -> tuple[np.ndarray, int]:
+    """(2**-e m, e), e the least even exponent above every |Re m_ij| and
+    |Im m_ij|, so no norm of the result overflows or underflows.  LAPACK's
+    shifted QR takes square roots of entries: only a power of four scales
+    eigenpairs exactly."""
+    a = as_matrix(m)
+    e = math.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1]
+    e += e % 2
+    return complex_ldexp(a, -e), e
 
 
 def adjoint(m) -> np.ndarray:
@@ -138,5 +154,5 @@ def unit_eigenvector(m, lam, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *,
     for i in np.flatnonzero(~(residual <= cfg.zero_tol * scale)):
         raise EigenSolverError(    # on the first column that stalled
             f"inverse iteration stalled at residual {residual[i]:.3e} "
-            f"(bound {cfg.zero_tol * scale:.3e}) for eigenvalue {lam[i]}")
+            f"(bound {cfg.zero_tol * scale:.3e}) for eigenvalue {i + 1} of {len(a)}")
     return x

@@ -74,7 +74,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, power_of_two_rescale
+from .spectral import assert_distinct_spectrum
 
 ORACLE_TOL = 1e-6
 NOT_UECSM_MARGIN = 10.0
@@ -227,16 +228,10 @@ def brute_force_uecsm(
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    a = as_matrix(t)
+    a = power_of_two_rescale(t)[0]    # rounds as t would; norms stay finite
     n = a.shape[0]
-    peak = float(np.abs(a).max())
-    if peak == 0.0 or n == 1:
+    if n == 1 or not a.any():
         return OracleVerdict(OracleOutcome.UECSM, 0.0, 0)
-    # Dividing by a power of two near max |t_ij| is exact, so the descent
-    # rounds as it would on t, while its squared and fourth-power norms
-    # neither overflow nor underflow at any scale of t.
-    e = int(np.frexp(peak)[1])
-    a = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
     t_norm = float(np.linalg.norm(a))
     streams = np.random.SeedSequence(seed).spawn(restarts)
     # Aim below the certification line with margin; sqrt(2 h) / ||T|| is the
@@ -289,17 +284,12 @@ def tener_applicable(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[bool
     this flag is named after; it fails on most of the fixture tables here
     (zero is typically a multiple eigenvalue of the skew part), which is
     what makes the eigenvector criteria and the orbit oracle interesting
-    on them.
+    on them.  Each part meets the gap rule of ``assert_distinct_spectrum``.
     """
-    herm, skew = cartesian_parts(t)
-    for name, part in (("Hermitian part", herm), ("skew part", skew)):
-        eigs = np.sort(np.linalg.eigvalsh(part))
-        if eigs.shape[0] < 2:
-            continue
-        gaps = np.diff(eigs)
-        threshold = cfg.eig_gap_tol * max(float(np.linalg.norm(part)), 1e-300)
-        k = int(np.argmin(gaps))
-        if gaps[k] <= threshold:
-            return False, (f"{name} has eigenvalue gap {gaps[k]:.3e} at "
-                           f"position {k + 1} (threshold {threshold:.3e})")
+    a, e = power_of_two_rescale(t)
+    for name, part in zip(("Hermitian part", "skew part"), cartesian_parts(a)):
+        verdict = assert_distinct_spectrum(np.ldexp(np.linalg.eigvalsh(part), e), cfg,
+                                           scale=np.ldexp(np.linalg.norm(part), e))
+        if verdict is not None:
+            return False, f"{name}: {verdict.reason}"
     return True, "both Cartesian parts have distinct spectra"

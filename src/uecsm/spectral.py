@@ -34,9 +34,10 @@ from .linalg import (
     NumericalBreakdownError,
     ToleranceConfig,
     adjoint,
-    as_matrix,
+    complex_ldexp,
     eigensystem,
     eigenvalues,
+    power_of_two_rescale,
     unit_eigenvector,
 )
 
@@ -107,23 +108,17 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def assert_distinct_spectrum(
-    lambdas,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    scale: float | None = None,
-) -> NotApplicable | None:
+def assert_distinct_spectrum(lambdas, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *,
+                             scale: float) -> NotApplicable | None:
     """Check pairwise eigenvalue separation; None means acceptably distinct.
 
-    The gap threshold is cfg.eig_gap_tol * scale.  When no scale is given it
-    defaults to max |lambda| (callers holding the matrix should pass its
-    Frobenius norm, the scale the tolerance is calibrated against).
+    The gap threshold is cfg.eig_gap_tol * scale, with ``scale`` the
+    Frobenius norm of the matrix, which the tolerance is calibrated against.
     """
     lam = np.asarray(lambdas, dtype=np.complex128).ravel()
     n = lam.shape[0]
     if n < 2:
         return None
-    if scale is None:
-        scale = float(np.abs(lam).max())
     threshold = cfg.eig_gap_tol * scale
     i, j = pair_indices(n)
     gaps = np.abs(lam[i] - lam[j])
@@ -152,13 +147,15 @@ def compute_spectral_data(
     working precision).  A singular eigenvector matrix or an off-diagonal
     biorthogonality violation, by contrast, is raised as
     NumericalBreakdownError: with a genuinely separated spectrum neither
-    can happen short of solver failure.  Nothing here is random.
+    can happen short of solver failure.  Nothing here is random.  The work
+    is done on ``power_of_two_rescale(t)``, reported in the units of ``t``.
     """
-    a = as_matrix(t)
+    a, exponent = power_of_two_rescale(t)
     n = a.shape[0]
     scale = float(np.linalg.norm(a))
     lam, u = eigensystem(a)
-    verdict = assert_distinct_spectrum(lam, cfg, scale=scale)
+    spectrum = complex_ldexp(lam, exponent)
+    verdict = assert_distinct_spectrum(spectrum, cfg, scale=np.ldexp(scale, exponent))
     if verdict is not None:
         return verdict
 
@@ -168,7 +165,7 @@ def compute_spectral_data(
     # certifiably separated spectrum the nearest match sits at distance
     # ~eps * kappa * ||t||; anything past half the gap threshold means the
     # two runs disagree about where the eigenvalues are.
-    half_gap = 0.5 * cfg.eig_gap_tol * scale if scale > 0 else np.inf
+    half_gap = 0.5 * cfg.eig_gap_tol * scale
     matched = np.full(n, -1, dtype=int)
     taken = np.zeros(n, dtype=bool)
     for i in range(n):
@@ -176,8 +173,8 @@ def compute_spectral_data(
         k = int(np.argmin(dist))
         if dist[k] > half_gap or taken[k]:
             return NotApplicable(
-                reason="adjoint spectrum does not pair with conjugated "
-                       f"eigenvalues (offset {dist[k]:.3e} at index {i + 1}); "
+                reason="adjoint spectrum does not pair with conjugated eigenvalues "
+                       f"(offset {np.ldexp(dist[k], exponent):.3e} at index {i + 1}); "
                        "spectrum effectively degenerate at working precision",
             )
         matched[i] = k
@@ -205,4 +202,4 @@ def compute_spectral_data(
         raise NumericalBreakdownError(
             f"biorthogonality violated: max |<u_i, v_j>| = {max_off:.3e} "
             f"for i != j exceeds zero_tol = {cfg.zero_tol:.3e}")
-    return SpectralData(lambdas=lam, u_basis=u, v_basis=v, e_diag=e_diag)
+    return SpectralData(lambdas=spectrum, u_basis=u, v_basis=v, e_diag=e_diag)

@@ -67,6 +67,14 @@ class TestClassify:
     def test_missing_file(self, capsys):
         assert main(["classify", "/no/such/file.json"]) == EXIT_BAD_INPUT
 
+    def test_oversized_integer_entry(self, tmp_path, capsys):
+        # 10**400 parses as a JSON integer but has no float value.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"format_version": 1,
+                                    "entries": [[[10 ** 400, 0]]]}))
+        assert main(["classify", str(path)]) == EXIT_BAD_INPUT
+        assert "entry (1, 1)" in capsys.readouterr().err
+
     def test_bad_tolerance_combination(self, tmp_path, capsys):
         path = write_doc(tmp_path, "closed-form-s")
         code = main(["classify", str(path), "--zero-tol", "1e-3"])
@@ -224,8 +232,9 @@ class TestFixtures:
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_group_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             main(["fixtures", "--only", "no-such-group"])
+        assert info.value.code == EXIT_BAD_INPUT
 
 
 class TestImport:
@@ -242,9 +251,28 @@ class TestImport:
 
 class TestParser:
     def test_subcommand_required(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             main([])
+        assert info.value.code == EXIT_BAD_INPUT
 
     def test_search_count_required(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             main(["search"])
+        assert info.value.code == EXIT_BAD_INPUT
+
+    def test_mistyped_tolerance_is_bad_input(self, tmp_path, capsys):
+        # argparse's own usage exit, 2, would read as NotApplicable.
+        path = write_doc(tmp_path, "closed-form-s")
+        with pytest.raises(SystemExit) as info:
+            main(["classify", str(path), "--zero-tol", "abc"])
+        assert info.value.code == EXIT_BAD_INPUT
+        assert "--zero-tol" in capsys.readouterr().err
+
+    def test_tolerance_flags_follow_the_config(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "closed-form-s")
+        argv = ["classify", str(path), "--json", "-", "--eig-gap-tol", "1e-6",
+                "--zero-tol", "1e-10", "--match-tol", "1e-8"]
+        assert main(argv) == EXIT_UECSM
+        doc = parse_report_document(capsys.readouterr().out)
+        assert doc["tolerances"] == {"eig_gap_tol": 1e-6, "zero_tol": 1e-10,
+                                     "match_tol": 1e-8}

@@ -91,7 +91,8 @@ class TestMatrixParseErrors:
             parse_matrix_document(text)
 
     def test_entry_must_be_number_pair(self):
-        for bad in ([1], [1, 2, 3], "1+2i", [True, 0], [1, None]):
+        for bad in ([1], [1, 2, 3], "1+2i", [True, 0], [1, None],
+                    [10 ** 400, 0]):
             text = json.dumps({"format_version": 1, "entries": [[bad]]})
             with pytest.raises(DocumentError):
                 parse_matrix_document(text)

@@ -342,6 +342,16 @@ class TestTenerApplicable:
         applicable, _ = tener_applicable(np.diag([1.0, 2.0, 3.0]))
         assert applicable is False
 
+    def test_flag_survives_extreme_scales(self):
+        for fx in TABLE2 + TABLE3:
+            applicable, _ = tener_applicable(fx.matrix())
+            for c in (1e-300, 1e-160, 1e160, 1e300):
+                assert tener_applicable(c * fx.matrix())[0] is applicable
+
+    def test_reason_names_the_part(self):
+        _, reason = tener_applicable(np.diag([1.0, 2.0, 3.0]))
+        assert reason.startswith("skew part: repeated spectrum")
+
     def test_scalar_is_vacuously_applicable(self):
         applicable, _ = tener_applicable([[3.0 + 1j]])
         assert applicable is True

@@ -125,6 +125,20 @@ class TestRunSearch:
                             workers=2)
         assert [h.index for h in result.hits][:1] == [0]
 
+    def test_numerical_failure_counted_as_breakdown(self, monkeypatch):
+        classify = uecsm.search.classify
+
+        def breaks_on_second(m, cfg, seed):
+            if seed == 1:
+                raise uecsm.search.LinearAlgebraError("planted")
+            return classify(m, cfg)
+
+        monkeypatch.setattr(uecsm.search, "classify", breaks_on_second)
+        result = run_search(3, inject=(COUNTEREXAMPLE, COUNTEREXAMPLE, CLOSED_FORM))
+        assert result.breakdown == 1
+        assert (result.not_uecsm, result.uecsm) == (1, 1)
+        assert [h.index for h in result.hits] == [0]
+
     def test_empty_search(self):
         result = run_search(0)
         assert result == SearchResult(candidates=0)

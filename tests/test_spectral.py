@@ -118,6 +118,22 @@ class TestNotApplicable:
         assert isinstance(verdict, NotApplicable)
         assert verdict.reason
 
+    def test_condition_collapse_detected(self):
+        # Gaps of 0.01 clear eig_gap_tol, and the adjoint pairs, but a
+        # superdiagonal of ones drives min |<u_i, v_i>| to 4.0e-8.
+        t = np.diag([0.0, 0.01, 0.02, 0.03, 0.04]) + np.diag(np.ones(4), 1)
+        cfg = ToleranceConfig(eig_gap_tol=1e-3, zero_tol=1e-7, match_tol=1e-7)
+        verdict = compute_spectral_data(t, cfg)
+        assert isinstance(verdict, NotApplicable)
+        assert verdict.reason.startswith("effectively degenerate spectrum")
+        assert verdict.pair is None and verdict.gap is None
+
+    def test_gap_is_reported_in_the_units_of_t(self):
+        for scale in (1e-300, 1.0, 1e300):
+            verdict = compute_spectral_data(scale * np.diag([1.0, 1.0 + 1e-12, 2.0]))
+            assert verdict.gap == pytest.approx(scale * 1e-12, rel=1e-3)
+            assert f"{verdict.gap:.3e}" in verdict.reason
+
     def test_single_eigenvalue_is_applicable(self):
         sd = compute_spectral_data(np.array([[3.0 + 1j]]))
         assert isinstance(sd, SpectralData)
@@ -126,20 +142,21 @@ class TestNotApplicable:
 
 class TestAssertDistinctSpectrum:
     def test_accepts_separated(self):
-        assert assert_distinct_spectrum([0.0, 1.0, 6.0]) is None
+        assert assert_distinct_spectrum([0.0, 1.0, 6.0], scale=6.0) is None
 
     def test_rejects_close_pair(self):
         verdict = assert_distinct_spectrum([0.0, 1e-10], scale=1.0)
         assert isinstance(verdict, NotApplicable)
         assert verdict.pair == (1, 2)
 
-    def test_scale_defaults_to_max_modulus(self):
+    def test_gap_is_relative_to_scale(self):
         # Gap 1e-3 with eigenvalues of size 1e6: relatively degenerate.
-        verdict = assert_distinct_spectrum([1e6, 1e6 + 1e-3])
+        verdict = assert_distinct_spectrum([1e6, 1e6 + 1e-3], scale=1e6)
         assert isinstance(verdict, NotApplicable)
+        assert assert_distinct_spectrum([1.0, 1.0 + 1e-3], scale=1.0) is None
 
     def test_single_value_vacuous(self):
-        assert assert_distinct_spectrum([5.0]) is None
+        assert assert_distinct_spectrum([5.0], scale=5.0) is None
 
     def test_tolerance_is_configurable(self):
         loose = ToleranceConfig(eig_gap_tol=1e-2)
