@@ -31,7 +31,7 @@ print("T =")
 print(np.real(t).astype(int))
 
 # Unit eigenvectors of T (columns of U) and of T* (columns of V), with
-# fixed reference phases instead of randomly drawn ones.
+# fixed reference phases instead of the ones the eigensolver returns.
 sd = SpectralData.from_bases(
     np.asarray(CLOSED_FORM_VECTORS["lambdas"], dtype=complex),
     np.array(CLOSED_FORM_VECTORS["u"], dtype=complex).T,
@@ -66,8 +66,9 @@ print(f"  intertwine  {cert.residual_intertwine:.3e}")
 print(f"  eigvec      {cert.residual_eigvec:.3e}")
 print("valid:", cert.is_valid())
 
-# classify() does all of the above with random phases; its S matches this
-# one up to a single global phase (the one gauge freedom left).
+# classify() does all of the above with the phases LAPACK's eig returns;
+# its S matches this one up to a single global phase (the one gauge
+# freedom left).
 report = classify(t)
 anchor = np.unravel_index(np.argmax(np.abs(s)), s.shape)
 z = np.asarray(report.certificate.s)[anchor] / s[anchor]

@@ -98,12 +98,10 @@ def _print_report(report, label: str | None, n: int) -> None:
     for tv in report.verdicts:
         line = f"{tv.kind:<15} {tv.outcome.value}"
         w = tv.witness
-        if w is not None and w.indices:
-            line += (f"   worst at {w.indices}: {_fmt_complex(w.left)} vs "
+        if w is not None:
+            where = f"worst at {w.indices}: " if w.indices else ""
+            line += (f"   {where}{_fmt_complex(w.left)} vs "
                      f"{_fmt_complex(w.right)} (gap {w.discrepancy:.3e})")
-        elif w is not None:
-            line += (f"   {_fmt_complex(w.left)} vs {_fmt_complex(w.right)} "
-                     f"(gap {w.discrepancy:.3e})")
         print(line)
     print(f"final: {report.final.value}")
     if report.certificate is not None:
@@ -224,10 +222,24 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _check(what: str, ok: bool, detail: str = "") -> tuple[str, bool]:
-    mark = "ok" if ok else "MISMATCH"
-    suffix = f" [{detail}]" if detail else ""
-    return f"{what} {mark}{suffix}", ok
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _fixture_checks(fx, cfg: ToleranceConfig, args):
+    """(check, answer, expected, detail) rows replaying one fixture."""
+    yield "classify", classify(fx.matrix(), cfg).final.value, fx.expected_final, ""
+    if fx.nilpotent_ab is not None:
+        verdict = nilpotent3_verdict(*fx.nilpotent_ab, cfg)
+        yield "nilpotent", _yes_no(verdict), _yes_no(fx.oracle_expected), ""
+    if fx.oracle_expected is not None and fx.expected_final == "NotApplicable":
+        verdict = brute_force_uecsm(fx.matrix(), restarts=args.restarts, seed=args.seed)
+        expected = OracleOutcome.UECSM if fx.oracle_expected else OracleOutcome.NOT_UECSM
+        yield ("oracle", verdict.outcome.value, expected.value,
+               f"residual {verdict.best_residual:.2e}")
+    if fx.tener is not None:
+        applicable, _ = tener_applicable(fx.matrix(), cfg)
+        yield "tener", _yes_no(applicable), _yes_no(fx.tener), ""
 
 
 def cmd_fixtures(args) -> int:
@@ -237,35 +249,11 @@ def cmd_fixtures(args) -> int:
     for group in groups:
         for fx in FIXTURE_GROUPS[group]:
             pieces = []
-            report = classify(fx.matrix(), cfg)
-            text, ok = _check(f"classify {report.final.value}",
-                              report.final.value == fx.expected_final)
-            pieces.append(text)
-            all_ok &= ok
-            if fx.nilpotent_ab is not None:
-                a, b = fx.nilpotent_ab
-                verdict = nilpotent3_verdict(a, b, cfg)
-                text, ok = _check(f"nilpotent {'yes' if verdict else 'no'}",
-                                  verdict == fx.oracle_expected)
-                pieces.append(text)
+            for check, answer, expected, detail in _fixture_checks(fx, cfg, args):
+                ok = answer == expected
                 all_ok &= ok
-            if (fx.oracle_expected is not None
-                    and fx.expected_final == "NotApplicable"):
-                verdict = brute_force_uecsm(fx.matrix(), restarts=args.restarts,
-                                            seed=args.seed)
-                expected = (OracleOutcome.UECSM if fx.oracle_expected
-                            else OracleOutcome.NOT_UECSM)
-                text, ok = _check(f"oracle {verdict.outcome.value}",
-                                  verdict.outcome is expected,
-                                  f"residual {verdict.best_residual:.2e}")
-                pieces.append(text)
-                all_ok &= ok
-            if fx.tener is not None:
-                applicable, _ = tener_applicable(fx.matrix(), cfg)
-                text, ok = _check(f"tener {'yes' if applicable else 'no'}",
-                                  applicable == fx.tener)
-                pieces.append(text)
-                all_ok &= ok
+                suffix = f" [{detail}]" if detail else ""
+                pieces.append(f"{check} {answer} {'ok' if ok else 'MISMATCH'}{suffix}")
             print(f"[{group}] {fx.label}: " + "; ".join(pieces))
     print("fixtures:", "all ok" if all_ok else "MISMATCHES FOUND")
     return 0 if all_ok else 1

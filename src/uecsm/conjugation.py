@@ -12,8 +12,9 @@ fixing the gauge alpha_1 = 1; alpha as a whole is determined only up to one
 global unimodular factor, and S inherits exactly that ambiguity.
 
 Partially defined beta matrices are completed as that rank-one matrix by
-one walk over alpha (``complete_beta``), where an index linked to no
-earlier one has a genuinely free phase, set to 1.
+one walk over alpha (``complete_beta``); only an index that no chain of
+defined entries links to an earlier one has a genuinely free phase, set
+to 1.
 
 With alpha in hand,
 
@@ -135,19 +136,30 @@ def complete_beta(b: BetaMatrix) -> BetaMatrix:
 
     One walk over alpha: alpha_1 = 1, and each later alpha_j = alpha_i
     beta_ij for the lowest i < j with beta_ij defined, or 1 when there is
-    none (the phase is free).  Defined entries are kept, so row 1 of the
-    result is alpha.  Assumes the defined entries already satisfy
-    multiplicativity (strong angle pass); no consistency is re-checked here.
+    none.  The walk leaves trees, each rooted at an index of phase 1.  A
+    defined entry between two trees fixes their relative phase, so while one
+    exists the tree with the higher root is turned to agree with the other;
+    a tree that no defined entry reaches has a free phase.  Defined entries
+    are kept, so row 1 of the result is alpha.  Assumes the defined entries
+    already satisfy multiplicativity (strong angle pass); no consistency is
+    re-checked here.
     """
     n = b.n
     anchors = b.defined.argmax(axis=0).tolist()    # lowest defined row per column
     column = b.entries[anchors, range(n)].tolist()
     alpha = [1.0 + 0j] * n
+    root = list(range(n))
     for j in range(1, n):
         i = anchors[j]
         if i < j:
             alpha[j] = alpha[i] * column[j]
-    alpha = np.array(alpha)
+            root[j] = root[i]
+    alpha, root = np.array(alpha), np.array(root)
+    while root.any() and (links := np.argwhere(b.defined & (root[:, None] < root))).size:
+        i, j = links[0]
+        turned = root == root[j]
+        alpha[turned] *= alpha[i] * b.entries[i, j] / alpha[j]
+        root[turned] = root[i]
     entries = np.where(b.defined, b.entries, np.outer(alpha.conj(), alpha))
     return BetaMatrix(entries=entries, defined=np.ones_like(b.defined),
                       min_divisor=b.min_divisor)

@@ -22,7 +22,7 @@ from .criteria import (
     TestVerdict,
     Witness,
 )
-from .linalg import ToleranceConfig
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig
 from .oracle import OracleOutcome, OracleVerdict
 
 FORMAT_VERSION = 1
@@ -62,21 +62,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970    # the least integer that rounds past the float range
+
+
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number with a float value: no bool, no integer beyond the float range."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) < _FLOAT_LIMIT)
 
 
 def _is_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(_is_real, value))
-
-
-def _pair_to_complex(value, where: str) -> complex:
-    if not _is_pair(value):
-        raise DocumentError(f"{where}: expected an [re, im] number pair, got {value!r}")
-    try:
-        return complex(float(value[0]), float(value[1]))
-    except OverflowError:    # an integer literal beyond the float range
-        raise DocumentError(f"{where}: number too large for a float") from None
 
 
 def _encode(value):
@@ -88,7 +83,8 @@ def _encode(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, np.ndarray):
-        return _encode(value.astype(np.complex128).tolist())
+        a = value.astype(np.complex128, copy=False)
+        return np.stack((a.real, a.imag), -1).tolist()
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     if is_dataclass(value):
@@ -117,8 +113,7 @@ class MatrixDocument:
         a = np.asarray(m, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise DocumentError(f"expected a nonempty square matrix, got shape {a.shape}")
-        entries = tuple(tuple(complex(x) for x in row) for row in a)
-        return cls(entries=entries, label=label)
+        return cls(entries=tuple(map(tuple, a.tolist())), label=label)
 
 
 def parse_matrix_document(text: str) -> MatrixDocument:
@@ -131,29 +126,33 @@ def parse_matrix_document(text: str) -> MatrixDocument:
     if not isinstance(raw, list) or not raw:
         raise DocumentError("entries must be a nonempty list of rows")
     n = len(raw)
-    rows = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != n:
             raise DocumentError(f"row {i + 1} must have {n} entries (square matrix)")
-        rows.append(tuple(_pair_to_complex(v, f"entry ({i + 1}, {j + 1})")
-                          for j, v in enumerate(row)))
+        for j, v in enumerate(row):
+            if not _is_pair(v):
+                raise DocumentError(f"entry ({i + 1}, {j + 1}): expected an "
+                                    f"[re, im] number pair, got {v!r}")
     declared = data.get("n")
     if declared is not None and (not _is_int(declared) or declared != n):
         raise DocumentError(f"declared n = {declared} but entries are {n}x{n}")
-    values = np.array(rows, dtype=np.complex128)
-    if not (np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))):
+    parts = np.array(raw, dtype=np.float64)    # exact, signed zeros included
+    if not np.isfinite(parts).all():
         raise DocumentError("matrix has non-finite entries")
-    return MatrixDocument(entries=tuple(rows), label=label)
+    return MatrixDocument.from_matrix(parts.view(np.complex128)[..., 0], label=label)
+
+
+def _write(tree: dict) -> str:
+    return json.dumps(tree, indent=2) + "\n"
 
 
 def serialize_matrix_document(doc: MatrixDocument) -> str:
-    payload = {
+    return _write({
         "format_version": FORMAT_VERSION,
         "label": doc.label,
         "n": doc.n,
-        "entries": _encode(doc.entries),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        "entries": _encode(doc.matrix()),
+    })
 
 
 # ----------------------------------------------------------------- reports
@@ -177,12 +176,11 @@ def build_report_document(
     *,
     n: int,
     label: str | None = None,
-    cfg: ToleranceConfig | None = None,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     seed: int = 0,
     oracle: OracleVerdict | None = None,
 ) -> dict:
     """The version-1 JSON tree of everything a classification run produced."""
-    cfg = cfg if cfg is not None else ToleranceConfig()
     reason = report.not_applicable.reason if report.not_applicable else None
     return {
         "format_version": FORMAT_VERSION,
@@ -200,7 +198,7 @@ def build_report_document(
 
 
 def serialize_report_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return _write(doc)
 
 
 # The parser checks a report against the schema below: each section is an

@@ -288,8 +288,8 @@ def tener_applicable(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[bool
     """
     a, e = power_of_two_rescale(t)
     for name, part in zip(("Hermitian part", "skew part"), cartesian_parts(a)):
-        verdict = assert_distinct_spectrum(np.ldexp(np.linalg.eigvalsh(part), e), cfg,
-                                           scale=np.ldexp(np.linalg.norm(part), e))
+        verdict = assert_distinct_spectrum(np.linalg.eigvalsh(part), cfg,
+                                           scale=np.linalg.norm(part), exponent=e)
         if verdict is not None:
             return False, f"{name}: {verdict.reason}"
     return True, "both Cartesian parts have distinct spectra"

@@ -16,6 +16,7 @@ aborting a long search.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -58,10 +59,10 @@ def _is_hit(report) -> bool:
             and by_kind["StrongAngle"] is Outcome.FAIL)
 
 
-def _scan_range(args) -> SearchResult:
-    (seed, start, stop, dim, entry_low, entry_high, cfg, inject) = args
-    result = SearchResult(candidates=stop - start)
-    for index in range(start, stop):
+def _scan_range(indices: range, *, seed, dim, entry_low, entry_high,
+                cfg, inject) -> SearchResult:
+    result = SearchResult(candidates=len(indices))
+    for index in indices:
         if index < len(inject):
             m = inject[index]
         else:
@@ -98,8 +99,9 @@ def run_search(
     ``inject`` replaces the first ``len(inject)`` candidates with fixed
     matrices (a test hook: a planted hit must be found regardless of seed).
     Results are deterministic for fixed (seed, count, dim, range, inject)
-    and independent of ``workers``.  The range is split into ``workers``
-    parts, run on at most one process per part and per CPU.
+    and independent of ``workers``.  The range is split into at most
+    ``workers`` nonempty parts; a single part runs in this process, several
+    on at most one process per part and per CPU.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -111,21 +113,18 @@ def run_search(
         raise ValueError("seed must be nonnegative")
     inject = tuple(np.asarray(m, dtype=np.complex128) for m in inject)
 
-    if workers <= 1 or count < 2:
-        return _scan_range((seed, 0, count, dim, entry_low, entry_high, cfg, inject))
-
-    bounds = np.linspace(0, count, workers + 1, dtype=int)
-    jobs = [(seed, int(bounds[w]), int(bounds[w + 1]), dim,
-             entry_low, entry_high, cfg, inject)
-            for w in range(workers) if bounds[w] < bounds[w + 1]]
+    scan = functools.partial(_scan_range, seed=seed, dim=dim, entry_low=entry_low,
+                             entry_high=entry_high, cfg=cfg, inject=inject)
+    bounds = np.linspace(0, count, max(1, min(workers, count)) + 1, dtype=int).tolist()
+    parts = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+    if len(parts) == 1:
+        return scan(parts[0])
     merged = SearchResult(candidates=count)
-    pool_size = min(len(jobs), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        for part in pool.map(_scan_range, jobs):
+    with ProcessPoolExecutor(max_workers=min(len(parts), os.cpu_count() or 1)) as pool:
+        for part in pool.map(scan, parts):
             merged.not_applicable += part.not_applicable
             merged.breakdown += part.breakdown
             merged.uecsm += part.uecsm
             merged.not_uecsm += part.not_uecsm
             merged.hits.extend(part.hits)
-    merged.hits.sort(key=lambda hit: hit.index)
     return merged

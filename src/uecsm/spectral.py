@@ -109,11 +109,14 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assert_distinct_spectrum(lambdas, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *,
-                             scale: float) -> NotApplicable | None:
+                             scale: float, exponent: int = 0) -> NotApplicable | None:
     """Check pairwise eigenvalue separation; None means acceptably distinct.
 
     The gap threshold is cfg.eig_gap_tol * scale, with ``scale`` the
     Frobenius norm of the matrix, which the tolerance is calibrated against.
+    ``lambdas`` and ``scale`` may be in units of 2**exponent, as returned by
+    ``power_of_two_rescale``: the gap is decided in those units, where
+    nothing overflows, and reported multiplied back by 2**exponent.
     """
     lam = np.asarray(lambdas, dtype=np.complex128).ravel()
     n = lam.shape[0]
@@ -125,11 +128,12 @@ def assert_distinct_spectrum(lambdas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     k = int(gaps.argmin())    # first smallest gap in canonical order
     if gaps[k] <= threshold:
         pair = (int(i[k]) + 1, int(j[k]) + 1)
+        gap = float(np.ldexp(gaps[k], exponent))
         return NotApplicable(
-            reason=f"repeated spectrum: gap {gaps[k]:.3e} at pair {pair} "
-                   f"is within tolerance {threshold:.3e}",
+            reason=f"repeated spectrum: gap {gap:.3e} at pair {pair} "
+                   f"is within tolerance {np.ldexp(threshold, exponent):.3e}",
             pair=pair,
-            gap=float(gaps[k]),
+            gap=gap,
         )
     return None
 
@@ -154,8 +158,7 @@ def compute_spectral_data(
     n = a.shape[0]
     scale = float(np.linalg.norm(a))
     lam, u = eigensystem(a)
-    spectrum = complex_ldexp(lam, exponent)
-    verdict = assert_distinct_spectrum(spectrum, cfg, scale=np.ldexp(scale, exponent))
+    verdict = assert_distinct_spectrum(lam, cfg, scale=scale, exponent=exponent)
     if verdict is not None:
         return verdict
 
@@ -202,4 +205,5 @@ def compute_spectral_data(
         raise NumericalBreakdownError(
             f"biorthogonality violated: max |<u_i, v_j>| = {max_off:.3e} "
             f"for i != j exceeds zero_tol = {cfg.zero_tol:.3e}")
-    return SpectralData(lambdas=spectrum, u_basis=u, v_basis=v, e_diag=e_diag)
+    return SpectralData(lambdas=complex_ldexp(lam, exponent), u_basis=u, v_basis=v,
+                        e_diag=e_diag)

@@ -93,6 +93,17 @@ class TestCompleteBeta:
         done = complete_beta(BetaMatrix(entries, defined, min_divisor=np.inf))
         np.testing.assert_allclose(done.entries, np.ones((3, 3)), atol=1e-15)
 
+    def test_index_linked_only_through_a_later_one(self):
+        # Only (1, 3) and (2, 3) are defined: index 2 meets index 1 through
+        # index 3 alone, so its phase is fixed, not free.
+        alpha = np.exp(1j * np.array([0.3, 1.1, 2.0]))
+        beta = np.outer(alpha.conj(), alpha)
+        defined = np.eye(3, dtype=bool)
+        defined[[0, 1, 2, 2], [2, 2, 0, 1]] = True
+        done = complete_beta(BetaMatrix(np.where(defined, beta, 0), defined,
+                                        min_divisor=1.0))
+        np.testing.assert_allclose(done.entries, beta, atol=1e-15)
+
     def test_input_not_mutated(self):
         entries = np.eye(2, dtype=complex)
         defined = np.eye(2, dtype=bool)

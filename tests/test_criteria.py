@@ -295,6 +295,11 @@ class TestScaleInvariance:
                 if expected is FinalVerdict.UECSM:
                     assert report.certificate.is_valid()
 
+    def test_certified_where_the_norm_of_t_overflows(self):
+        report = classify([[1.5e308 + 1.5e308j, 1e307], [0, 1e307]])
+        assert report.final is FinalVerdict.UECSM
+        assert report.certificate.is_valid()
+
     def test_powers_of_four_scale_bit_for_bit(self):
         for t, _ in self.cases():
             base = classify(t)

@@ -26,6 +26,35 @@ from uecsm.fixtures import TABLE3, find_fixture
 from uecsm.linalg import ToleranceConfig
 from uecsm.oracle import brute_force_uecsm
 
+PINNED_TEXT = """{
+  "format_version": 1,
+  "label": "pinned",
+  "n": 2,
+  "entries": [
+    [
+      [
+        1.0,
+        0.0
+      ],
+      [
+        2.5,
+        -1.0
+      ]
+    ],
+    [
+      [
+        -0.0,
+        0.0
+      ],
+      [
+        0.0,
+        1e-300
+      ]
+    ]
+  ]
+}
+"""
+
 
 class TestMatrixDocuments:
     def test_round_trip_exact(self):
@@ -40,6 +69,21 @@ class TestMatrixDocuments:
         again = parse_matrix_document(serialize_matrix_document(doc))
         assert again.label is None
         assert again.n == 2
+
+    def test_serialized_text_pinned(self):
+        doc = MatrixDocument.from_matrix(np.array([[1, 2.5 - 1j], [-0.0, 1e-300j]]),
+                                         label="pinned")
+        assert serialize_matrix_document(doc) == PINNED_TEXT
+        assert parse_matrix_document(PINNED_TEXT) == doc
+
+    def test_signed_zeros_round_trip(self):
+        m = np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)],
+                      [complex(-0.0, 0.0), 1.0]])
+        again = parse_matrix_document(
+            serialize_matrix_document(MatrixDocument.from_matrix(m))).matrix()
+        for part in ("real", "imag"):
+            np.testing.assert_array_equal(np.signbit(getattr(again, part)),
+                                          np.signbit(getattr(m, part)))
 
     def test_from_matrix_rejects_non_square(self):
         with pytest.raises(DocumentError):
@@ -155,6 +199,9 @@ MUTATIONS = {
     "restarts-used-float": (("oracle", "restarts_used"), 1.5),
     "verdicts-not-a-list": (("verdicts",), ""),
     "s-not-a-list": (("certificate", "s"), {}),
+    "residual-beyond-float": (("certificate", "residual_symmetry"), 10 ** 400),
+    "spectrum-pair-beyond-float": (("spectrum", 0), [10 ** 400, 0]),
+    "tolerance-beyond-float": (("tolerances", "match_tol"), 10 ** 400),
 }
 
 
@@ -226,6 +273,12 @@ class TestReportDocuments:
         else:
             section[key] = value
         with pytest.raises(DocumentError):
+            parse_report_document(json.dumps(payload))
+
+    def test_integer_beyond_float_is_refused_by_the_schema(self, full_payload):
+        payload = copy.deepcopy(full_payload)
+        payload["tolerances"]["match_tol"] = 10 ** 400
+        with pytest.raises(DocumentError, match="tolerances match_tol: unexpected value"):
             parse_report_document(json.dumps(payload))
 
     def test_layout_pinned(self, full_payload):

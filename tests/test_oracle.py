@@ -348,6 +348,10 @@ class TestTenerApplicable:
             for c in (1e-300, 1e-160, 1e160, 1e300):
                 assert tener_applicable(c * fx.matrix())[0] is applicable
 
+    def test_flag_survives_an_overflowing_norm(self):
+        t = np.diag([1.5e308, -1.5e308, 0.5]) + 1j * np.diag([1.0, 2.0, 3.0])
+        assert tener_applicable(t)[0] is True
+
     def test_reason_names_the_part(self):
         _, reason = tener_applicable(np.diag([1.0, 2.0, 3.0]))
         assert reason.startswith("skew part: repeated spectrum")

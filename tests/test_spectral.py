@@ -134,6 +134,13 @@ class TestNotApplicable:
             assert verdict.gap == pytest.approx(scale * 1e-12, rel=1e-3)
             assert f"{verdict.gap:.3e}" in verdict.reason
 
+    def test_gap_decided_where_the_norm_of_t_overflows(self):
+        # ||T||_F is beyond the float range although every entry is finite.
+        t = np.array([[1.5e308 + 1.5e308j, 1e307], [0, 1e307]])
+        sd = compute_spectral_data(t)
+        assert isinstance(sd, SpectralData)
+        np.testing.assert_array_equal(sd.lambdas, [1e307, 1.5e308 + 1.5e308j])
+
     def test_single_eigenvalue_is_applicable(self):
         sd = compute_spectral_data(np.array([[3.0 + 1j]]))
         assert isinstance(sd, SpectralData)
@@ -154,6 +161,13 @@ class TestAssertDistinctSpectrum:
         verdict = assert_distinct_spectrum([1e6, 1e6 + 1e-3], scale=1e6)
         assert isinstance(verdict, NotApplicable)
         assert assert_distinct_spectrum([1.0, 1.0 + 1e-3], scale=1.0) is None
+
+    def test_exponent_scales_the_report_not_the_decision(self):
+        verdict = assert_distinct_spectrum([0.0, 1e-10], scale=1.0, exponent=1000)
+        assert verdict.gap == np.ldexp(1e-10, 1000)
+        threshold = np.ldexp(ToleranceConfig().eig_gap_tol, 1000)
+        assert verdict.reason.endswith(f"within tolerance {threshold:.3e}")
+        assert assert_distinct_spectrum([0.0, 1.0], scale=1.0, exponent=1000) is None
 
     def test_single_value_vacuous(self):
         assert assert_distinct_spectrum([5.0], scale=5.0) is None
