@@ -50,9 +50,7 @@ from .linalg import (
     LinearAlgebraError,
     NumericalBreakdownError,
     ToleranceConfig,
-    adjoint,
     as_matrix,
-    determinant,
     eigensystem,
     eigenvalues,
     unit_eigenvector,
@@ -91,8 +89,7 @@ __all__ = [
     "FIXTURE_GROUPS", "Fixture", "family_member", "find_fixture",
     "DEFAULT_TOLERANCES", "EigenSolverError", "LinearAlgebraError",
     "NumericalBreakdownError", "ToleranceConfig",
-    "adjoint", "as_matrix", "determinant", "eigensystem", "eigenvalues",
-    "unit_eigenvector",
+    "as_matrix", "eigensystem", "eigenvalues", "unit_eigenvector",
     "ORACLE_TOL", "OracleOutcome", "OracleVerdict", "brute_force_uecsm",
     "cartesian_parts", "nilpotent3_verdict",
     "random_unitary", "tener_applicable",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import FinalVerdict, Outcome, classify
+from .criteria import FinalVerdict, classify
 from .documents import (
     FORMAT_VERSION,
     DocumentError,
@@ -155,7 +155,11 @@ def cmd_classify(args) -> int:
     if args.json is not None:
         rdoc = build_report_document(report, n=doc.n, label=doc.label,
                                      cfg=cfg, seed=args.seed, oracle=oracle)
-        text = serialize_report_document(rdoc)
+        try:
+            text = serialize_report_document(rdoc)
+        except ValueError as exc:    # a report number past the float range
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
         if json_only:
             sys.stdout.write(text)
         else:

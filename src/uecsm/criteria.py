@@ -55,7 +55,7 @@ from .conjugation import (
     extract_alpha,
     verify_certificate,
 )
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, determinant
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig
 from .spectral import (
     NotApplicable,
     SpectralData,
@@ -138,25 +138,23 @@ def angle_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> T
 
 
 def grammian_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
-    """Compare the sorted spectra of the two Gram matrices.
+    """Compare the spectra of the two Gram matrices.
 
-    Both are Hermitian positive definite, so the Hermitian eigensolver
-    applies; spectra are compared entrywise in descending order against a
-    band relative to ||U* U||_F.
+    Both are Hermitian positive definite, so one Hermitian eigensolver call
+    gives both spectra, ascending; they are compared entrywise in descending
+    order against a band relative to ||U* U||_F.
     """
     gu, gv = gram_pair(sd)
-    spec_u = np.sort(np.linalg.eigvalsh(gu))[::-1]
-    spec_v = np.sort(np.linalg.eigvalsh(gv))[::-1]
+    spec_u, spec_v = np.linalg.eigvalsh(np.stack((gu, gv)))[:, ::-1]
     return _decide("Grammian", (np.arange(sd.n),), spec_u, spec_v,
                    cfg.match_tol * float(np.linalg.norm(gu)))
 
 
 def parallelepiped_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
     """Compare |det U| with |det V| (unit columns, so both lie in (0, 1])."""
-    det_u = abs(determinant(sd.u_basis))
-    det_v = abs(determinant(sd.v_basis))
-    return _decide("Parallelepiped", (), np.array([det_u]), np.array([det_v]),
-                   cfg.match_tol)
+    det = np.linalg.det(np.stack((sd.u_basis, sd.v_basis)))
+    volume = np.hypot(det.real, det.imag)    # as abs(complex); np.abs may differ
+    return _decide("Parallelepiped", (), volume[:1], volume[1:], cfg.match_tol)
 
 
 def strong_angle_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:

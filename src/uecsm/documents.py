@@ -2,13 +2,15 @@
 
 Both formats are JSON with every complex number spelled as an explicit
 ``[re, im]`` pair, so integer and decimal literals parse exactly and a
-serialized document parses back to an equal value.  ``format_version`` is
+serialized document parses back to an equal value.  Every real is finite:
+NaN and Infinity are neither read nor written.  ``format_version`` is
 checked on input; this module reads and writes version 1.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 
@@ -22,7 +24,7 @@ from .criteria import (
     TestVerdict,
     Witness,
 )
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix
 from .oracle import OracleOutcome, OracleVerdict
 
 FORMAT_VERSION = 1
@@ -46,6 +48,8 @@ def _load_json(text: str) -> dict:
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc.msg}",
                             line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:    # an overlong integer, deep nesting
+        raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DocumentError("document root must be a JSON object")
     return data
@@ -66,8 +70,10 @@ _FLOAT_LIMIT = 2 ** 1024 - 2 ** 970    # the least integer that rounds past the 
 
 
 def _is_real(value) -> bool:
-    """A JSON number with a float value: no bool, no integer beyond the float range."""
-    return isinstance(value, float) or (_is_int(value) and abs(value) < _FLOAT_LIMIT)
+    """A finite JSON number: no bool, NaN, Infinity or integer past the float range."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value) and abs(value) < _FLOAT_LIMIT
 
 
 def _is_pair(value) -> bool:
@@ -110,9 +116,10 @@ class MatrixDocument:
 
     @classmethod
     def from_matrix(cls, m, label: str | None = None) -> "MatrixDocument":
-        a = np.asarray(m, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise DocumentError(f"expected a nonempty square matrix, got shape {a.shape}")
+        try:
+            a = as_matrix(m)
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from exc
         return cls(entries=tuple(map(tuple, a.tolist())), label=label)
 
 
@@ -137,13 +144,11 @@ def parse_matrix_document(text: str) -> MatrixDocument:
     if declared is not None and (not _is_int(declared) or declared != n):
         raise DocumentError(f"declared n = {declared} but entries are {n}x{n}")
     parts = np.array(raw, dtype=np.float64)    # exact, signed zeros included
-    if not np.isfinite(parts).all():
-        raise DocumentError("matrix has non-finite entries")
     return MatrixDocument.from_matrix(parts.view(np.complex128)[..., 0], label=label)
 
 
 def _write(tree: dict) -> str:
-    return json.dumps(tree, indent=2) + "\n"
+    return json.dumps(tree, indent=2, allow_nan=False) + "\n"
 
 
 def serialize_matrix_document(doc: MatrixDocument) -> str:

@@ -8,9 +8,9 @@ product convention is linear in the *first* argument,
 which is ``np.vdot(y, x)``.  Getting this backwards silently conjugates
 every Gram matrix, which the criteria tests do notice.
 
-Eigenpairs and determinants come from LAPACK (Hessenberg + shifted QR, and
-LU with partial pivoting); the two routes share no code, which keeps the
-determinant usable as an independent cross-check on eigenvector matrices.
+Eigenpairs come from LAPACK's Hessenberg + shifted QR.  ``np.linalg.det``
+(LU with partial pivoting) shares no code with that route, so the
+determinant of an eigenvector matrix is an independent cross-check on it.
 LAPACK's eigenvectors are refined here by inverse iteration only where
 their residuals miss a target near machine precision, so no vector rests
 at the loose contract bound.
@@ -95,14 +95,6 @@ def power_of_two_rescale(m) -> tuple[np.ndarray, int]:
     e = math.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1]
     e += e % 2
     return complex_ldexp(a, -e), e
-
-
-def adjoint(m) -> np.ndarray:
-    return np.asarray(m, dtype=np.complex128).conj().T
-
-
-def determinant(m) -> complex:
-    return complex(np.linalg.det(as_matrix(m)))
 
 
 def _lapack(solver, m):

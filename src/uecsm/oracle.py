@@ -168,8 +168,7 @@ def _newton_model(q: np.ndarray, t: np.ndarray,
     return grad, (u[left] * v[right]).sum(axis=0).real
 
 
-def _descend(t: np.ndarray, q: np.ndarray, max_iters: int,
-             f_floor: float) -> float:
+def _descend(t: np.ndarray, q: np.ndarray, f_floor: float) -> float:
     """Damped Newton descent on the quotient U(n)/O(n) from q; returns the
     best objective value reached.
 
@@ -188,7 +187,7 @@ def _descend(t: np.ndarray, q: np.ndarray, max_iters: int,
     t_norm2 = float(np.linalg.norm(t)) ** 2
     grad_floor = _GRAD_FLOOR * t_norm2 ** 2
     mu = None
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         if f <= f_floor:
             break
         g = _gradient(q, t)
@@ -242,7 +241,7 @@ def brute_force_uecsm(
     for r in range(restarts):
         rng = np.random.default_rng(streams[r])
         q0 = np.eye(n, dtype=np.complex128) if r == 0 else random_unitary(n, rng)
-        f = _descend(a, q0, MAX_ITERS, f_floor)
+        f = _descend(a, q0, f_floor)
         used += 1
         best = min(best, np.sqrt(2.0 * f) / t_norm)
         if best <= ORACLE_TOL:

@@ -33,7 +33,6 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     NumericalBreakdownError,
     ToleranceConfig,
-    adjoint,
     complex_ldexp,
     eigensystem,
     eigenvalues,
@@ -92,11 +91,18 @@ class SpectralData:
         e = np.einsum("ki,ki->i", v.conj(), u)
         return cls(lambdas=lam, u_basis=u, v_basis=v, e_diag=e)
 
+    @functools.cached_property
+    def _gram_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        u, v = self.u_basis, self.v_basis
+        gu, gv = u.conj().T @ u, v.conj().T @ v
+        gu.flags.writeable = gv.flags.writeable = False
+        return gu, gv
+
 
 def gram_pair(sd: SpectralData) -> tuple[np.ndarray, np.ndarray]:
-    """(U* U, V* V); entry (i, j) is <u_j, u_i> resp. <v_j, v_i>."""
-    u, v = sd.u_basis, sd.v_basis
-    return u.conj().T @ u, v.conj().T @ v
+    """(U* U, V* V), computed once per ``sd`` and read-only; entry (i, j)
+    is <u_j, u_i> resp. <v_j, v_i>."""
+    return sd._gram_pair
 
 
 @functools.cache
@@ -155,33 +161,30 @@ def compute_spectral_data(
     is done on ``power_of_two_rescale(t)``, reported in the units of ``t``.
     """
     a, exponent = power_of_two_rescale(t)
-    n = a.shape[0]
     scale = float(np.linalg.norm(a))
     lam, u = eigensystem(a)
     verdict = assert_distinct_spectrum(lam, cfg, scale=scale, exponent=exponent)
     if verdict is not None:
         return verdict
 
-    a_star = adjoint(a)
+    a_star = a.conj().T
     mu = eigenvalues(a_star)
-    # Pair conj(lambda_i) with the adjoint's computed spectrum.  With a
-    # certifiably separated spectrum the nearest match sits at distance
-    # ~eps * kappa * ||t||; anything past half the gap threshold means the
-    # two runs disagree about where the eigenvalues are.
-    half_gap = 0.5 * cfg.eig_gap_tol * scale
-    matched = np.full(n, -1, dtype=int)
-    taken = np.zeros(n, dtype=bool)
-    for i in range(n):
-        dist = np.abs(mu - np.conj(lam[i]))
-        k = int(np.argmin(dist))
-        if dist[k] > half_gap or taken[k]:
-            return NotApplicable(
-                reason="adjoint spectrum does not pair with conjugated eigenvalues "
-                       f"(offset {np.ldexp(dist[k], exponent):.3e} at index {i + 1}); "
-                       "spectrum effectively degenerate at working precision",
-            )
-        matched[i] = k
-        taken[k] = True
+    # Pair each conj(lambda_i) with its nearest adjoint eigenvalue.  With a
+    # certifiably separated spectrum it sits at distance ~eps * kappa * ||t||;
+    # a match past half the gap threshold, or taken by an earlier i, means
+    # the two runs disagree about where the eigenvalues are.
+    dist = np.abs(mu - np.conj(lam)[:, None])
+    matched = dist.argmin(axis=1)
+    offset = dist.min(axis=1)
+    taken = np.tril(matched[:, None] == matched, -1).any(axis=1)
+    unpaired = (offset > 0.5 * cfg.eig_gap_tol * scale) | taken
+    if unpaired.any():
+        i = int(unpaired.argmax())
+        return NotApplicable(
+            reason="adjoint spectrum does not pair with conjugated eigenvalues "
+                   f"(offset {np.ldexp(offset[i], exponent):.3e} at index {i + 1}); "
+                   "spectrum effectively degenerate at working precision",
+        )
 
     try:
         left = np.linalg.inv(u).conj().T

@@ -75,6 +75,26 @@ class TestClassify:
         assert main(["classify", str(path)]) == EXIT_BAD_INPUT
         assert "entry (1, 1)" in capsys.readouterr().err
 
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        # Deep enough to exhaust the JSON decoder's recursion limit.
+        path = tmp_path / "deep.json"
+        depth = 200_000
+        path.write_text('{"format_version": 1, "entries": '
+                        + "[" * depth + "]" * depth + "}")
+        assert main(["classify", str(path)]) == EXIT_BAD_INPUT
+        assert "error: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_report_beyond_float_range_is_numerical_failure(self, tmp_path, capsys):
+        # A finite matrix whose eigenvalues, about +-2.05e308, are not.
+        doc = MatrixDocument.from_matrix([[1.5e308, 1.5e308], [1.5e308, -1.4e308]])
+        path = tmp_path / "overflow.json"
+        path.write_text(serialize_matrix_document(doc))
+        assert main(["classify", str(path), "--json", "-"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure: Out of range float values" in captured.err
+
     def test_bad_tolerance_combination(self, tmp_path, capsys):
         path = write_doc(tmp_path, "closed-form-s")
         code = main(["classify", str(path), "--zero-tol", "1e-3"])

@@ -39,6 +39,7 @@ from uecsm.fixtures import (
 )
 from uecsm.conjugation import build_beta
 from uecsm.oracle import random_unitary
+from uecsm.search import candidate_matrix
 from uecsm.spectral import SpectralData, assert_distinct_spectrum, compute_spectral_data
 
 
@@ -182,6 +183,17 @@ class TestTableOne:
     @pytest.mark.parametrize("fx", TABLE1, ids=lambda fx: fx.label)
     def test_published_verdicts(self, fx):
         assert classify(fx.matrix()).final.value == fx.expected_final
+
+    @pytest.mark.parametrize("t", [*(fx.matrix() for fx in TABLE1),
+                                   candidate_matrix(0, 2197, 3, -9, 9)],
+                             ids=[*(fx.label for fx in TABLE1), "candidate-2197"])
+    def test_parallelepiped_volumes_round_like_complex_abs(self, t):
+        # np.abs on complex128 can differ from abs(complex) in the last bit,
+        # as it does for |det U| of the search candidate.
+        sd = compute_spectral_data(t)
+        w = parallelepiped_test(sd).witness
+        assert w.left == abs(complex(np.linalg.det(sd.u_basis)))
+        assert w.right == abs(complex(np.linalg.det(sd.v_basis)))
 
 
 class TestSmallDimensions:

@@ -89,6 +89,11 @@ class TestMatrixDocuments:
         with pytest.raises(DocumentError):
             MatrixDocument.from_matrix(np.zeros((2, 3)))
 
+    def test_from_matrix_rejects_non_finite(self):
+        # The writer would emit Infinity, which no JSON reader accepts.
+        with pytest.raises(DocumentError, match="non-finite"):
+            MatrixDocument.from_matrix([[np.inf, 1], [np.inf, 1]])
+
     def test_declared_n_checked(self):
         text = json.dumps({"format_version": 1, "n": 3,
                            "entries": [[[1, 0]]]})
@@ -148,6 +153,14 @@ class TestMatrixParseErrors:
         with pytest.raises(DocumentError):
             parse_matrix_document(text)
 
+    def test_overlong_integer_literal(self):
+        # Past Python's digit limit for int(str), json raises a ValueError.
+        text = '{"format_version": 1, "entries": [[[' + "1" * 5001 + ', 0]]]}'
+        with pytest.raises(DocumentError):
+            parse_matrix_document(text)
+        with pytest.raises(DocumentError):
+            parse_report_document(text)
+
     def test_bad_label_type(self):
         text = json.dumps({"format_version": 1, "label": 7,
                            "entries": [[[1, 0]]]})
@@ -202,6 +215,8 @@ MUTATIONS = {
     "residual-beyond-float": (("certificate", "residual_symmetry"), 10 ** 400),
     "spectrum-pair-beyond-float": (("spectrum", 0), [10 ** 400, 0]),
     "tolerance-beyond-float": (("tolerances", "match_tol"), 10 ** 400),
+    "residual-nan": (("certificate", "residual_symmetry"), float("nan")),
+    "discrepancy-infinity": (("verdicts", 0, "discrepancy"), float("inf")),
 }
 
 
@@ -301,6 +316,12 @@ class TestReportDocuments:
         assert [list(v) for v in not_applicable["verdicts"]] == [verdict_keys] * 4
         assert all(v[key] is None for v in not_applicable["verdicts"]
                    for key in verdict_keys[2:])
+
+    def test_writer_refuses_non_finite_numbers(self):
+        doc = report_for("family-s5")
+        doc["certificate"]["residual_symmetry"] = float("inf")
+        with pytest.raises(ValueError):
+            serialize_report_document(doc)
 
     def test_wrong_version_rejected(self):
         payload = json.loads(serialize_report_document(report_for("family-s5")))

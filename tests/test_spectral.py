@@ -9,14 +9,21 @@ eigenvalues (0, 1, 6).
 import numpy as np
 import pytest
 
-from uecsm.fixtures import CLOSED_FORM_VECTORS, TABLE3, family_member
-from uecsm.linalg import ToleranceConfig
+from uecsm.fixtures import CLOSED_FORM_VECTORS, TABLE3, family_member, find_fixture
+from uecsm.linalg import (
+    DEFAULT_TOLERANCES,
+    ToleranceConfig,
+    eigensystem,
+    eigenvalues,
+    power_of_two_rescale,
+)
 from uecsm.search import candidate_matrix
 from uecsm.spectral import (
     NotApplicable,
     SpectralData,
     assert_distinct_spectrum,
     compute_spectral_data,
+    gram_pair,
 )
 
 
@@ -67,6 +74,15 @@ class TestComputeSpectralData:
         assert np.array_equal(a.u_basis, b.u_basis)
         assert np.array_equal(a.v_basis, b.v_basis)
 
+    def test_gram_pair_is_computed_once_and_read_only(self, closed_form_data):
+        gu, gv = gram_pair(closed_form_data)
+        again = gram_pair(closed_form_data)
+        assert again[0] is gu and again[1] is gv
+        assert not gu.flags.writeable and not gv.flags.writeable
+        u, v = closed_form_data.u_basis, closed_form_data.v_basis
+        assert np.array_equal(gu, u.conj().T @ u)
+        assert np.array_equal(gv, v.conj().T @ v)
+
     def test_residual_and_biorthogonality_contract(self):
         # Unit columns, residuals near machine precision relative to ||T||
         # and <u_i, v_j> = e_i delta_ij, on the search stream and on
@@ -93,6 +109,23 @@ class TestComputeSpectralData:
         assert checked > 1900
 
 
+def loop_pairing(t, cfg=DEFAULT_TOLERANCES):
+    """The adjoint pairing of compute_spectral_data as a plain loop over the
+    eigenvalues: where its first failure is reported, or None."""
+    a, exponent = power_of_two_rescale(t)
+    lam, _ = eigensystem(a)
+    mu = eigenvalues(a.conj().T)
+    half_gap = 0.5 * cfg.eig_gap_tol * float(np.linalg.norm(a))
+    taken = set()
+    for i, z in enumerate(lam):
+        dist = np.abs(mu - np.conj(z))
+        k = int(np.argmin(dist))
+        if dist[k] > half_gap or k in taken:
+            return f"(offset {np.ldexp(dist[k], exponent):.3e} at index {i + 1})"
+        taken.add(k)
+    return None
+
+
 class TestNotApplicable:
     def test_tiny_gap(self):
         verdict = compute_spectral_data(np.diag([1.0, 1.0 + 1e-12, 2.0]))
@@ -117,6 +150,20 @@ class TestNotApplicable:
         verdict = compute_spectral_data(fx.matrix())
         assert isinstance(verdict, NotApplicable)
         assert verdict.reason
+
+    @pytest.mark.parametrize("t", [
+        *(candidate_matrix(0, i, 3, -9, 9) for i in (550, 8315)),
+        *(find_fixture(label).matrix() for label in ("table2-row3", "table3-row4")),
+        family_member(-5),
+    ], ids=["candidate-550", "candidate-8315", "table2-row3", "table3-row4", "paired"])
+    def test_adjoint_pairing_matches_reference_loop(self, t):
+        expected = loop_pairing(t)
+        sd = compute_spectral_data(t)
+        if expected is None:
+            assert isinstance(sd, SpectralData)
+        else:
+            assert sd.reason.startswith("adjoint spectrum does not pair")
+            assert expected in sd.reason
 
     def test_condition_collapse_detected(self):
         # Gaps of 0.01 clear eig_gap_tol, and the adjoint pairs, but a
