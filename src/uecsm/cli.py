@@ -5,7 +5,8 @@
     uecsm fixtures [--only GROUP] ...
 
 Exit codes for ``classify``: 0 = UECSM, 1 = NotUECSM, 2 = NotApplicable,
-3 = malformed input or bad arguments, 4 = numerical failure.  ``search``
+3 = malformed input or bad arguments, 4 = numerical failure, which includes
+a report number past the float range, with or without ``--json``.  ``search``
 exits 0 once the scan completes (hits are data, not an error), 3/4 on bad
 input or setup.  ``fixtures`` exits 0 when every replayed fixture matches
 its published verdict, 1 otherwise, and 3 on bad arguments.  An output
@@ -132,6 +133,14 @@ def cmd_classify(args) -> int:
     except LinearAlgebraError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    # Both output modes refuse a report that its document cannot hold.
+    rdoc = build_report_document(report, n=doc.n, label=doc.label,
+                                 cfg=cfg, seed=args.seed, oracle=oracle)
+    try:
+        text = serialize_report_document(rdoc)
+    except ValueError as exc:    # a report number past the float range
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     json_only = args.json == "-"
     if not json_only:
@@ -152,18 +161,10 @@ def cmd_classify(args) -> int:
         print(f"warning: UECSM verdict is not certified: worst certificate "
               f"residual {max(cert.residuals()):.3e} exceeds match_tol "
               f"{cfg.match_tol:.3e}", file=sys.stderr)
-    if args.json is not None:
-        rdoc = build_report_document(report, n=doc.n, label=doc.label,
-                                     cfg=cfg, seed=args.seed, oracle=oracle)
-        try:
-            text = serialize_report_document(rdoc)
-        except ValueError as exc:    # a report number past the float range
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        if json_only:
-            sys.stdout.write(text)
-        else:
-            Path(args.json).write_text(text)
+    if json_only:
+        sys.stdout.write(text)
+    elif args.json is not None:
+        Path(args.json).write_text(text)
     return _FINAL_EXIT[report.final]
 
 

@@ -5,6 +5,13 @@ Both formats are JSON with every complex number spelled as an explicit
 serialized document parses back to an equal value.  Every real is finite:
 NaN and Infinity are neither read nor written.  ``format_version`` is
 checked on input; this module reads and writes version 1.
+
+A matrix document's entries are validated in one array pass: a sweep over
+the types of the numbers, one float conversion and one finiteness check.
+Only a document that fails it is walked entry by entry, to name the first
+bad row or entry.  The writer is byte-identical to
+``json.dumps(tree, indent=2, allow_nan=False)`` and formats each list of
+``[re, im]`` float pairs in one step.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -133,22 +142,107 @@ def parse_matrix_document(text: str) -> MatrixDocument:
     if not isinstance(raw, list) or not raw:
         raise DocumentError("entries must be a nonempty list of rows")
     n = len(raw)
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != n:
-            raise DocumentError(f"row {i + 1} must have {n} entries (square matrix)")
-        for j, v in enumerate(row):
-            if not _is_pair(v):
-                raise DocumentError(f"entry ({i + 1}, {j + 1}): expected an "
-                                    f"[re, im] number pair, got {v!r}")
+    parts = _entry_parts(raw)
+    if parts is None:
+        for i, row in enumerate(raw):
+            if not isinstance(row, list) or len(row) != n:
+                raise DocumentError(f"row {i + 1} must have {n} entries (square matrix)")
+            for j, v in enumerate(row):
+                if not _is_pair(v):
+                    raise DocumentError(f"entry ({i + 1}, {j + 1}): expected an "
+                                        f"[re, im] number pair, got {v!r}")
+        parts = np.array(raw, dtype=np.float64)
     declared = data.get("n")
     if declared is not None and (not _is_int(declared) or declared != n):
         raise DocumentError(f"declared n = {declared} but entries are {n}x{n}")
-    parts = np.array(raw, dtype=np.float64)    # exact, signed zeros included
     return MatrixDocument.from_matrix(parts.view(np.complex128)[..., 0], label=label)
 
 
-def _write(tree: dict) -> str:
-    return json.dumps(tree, indent=2, allow_nan=False) + "\n"
+def _entry_parts(raw: list) -> np.ndarray | None:
+    """The (n, n, 2) float array of ``raw``, exact with signed zeros kept,
+    if every entry is an [re, im] pair of non-bool numbers with finite float
+    values; else None."""
+    try:
+        leaves = set(map(type, chain.from_iterable(chain.from_iterable(raw))))
+        if not leaves <= {int, float}:
+            return None
+        parts = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):    # a bare number, ragged rows, 10**400
+        return None
+    n = len(raw)
+    if parts.shape != (n, n, 2) or not np.isfinite(parts).all():
+        return None
+    return parts
+
+
+class _Defer(Exception):
+    """A value the fast writer leaves to ``json.dumps``."""
+
+
+def _write(tree) -> str:
+    """``json.dumps(tree, indent=2, allow_nan=False) + "\\n"``, byte for byte.
+
+    ``json.dumps`` with an indent runs CPython's pure-Python encoder.  This
+    writer keeps its rules (str, None, bool, int, float, list or tuple, dict,
+    each tested in that order, with int.__repr__ and float.__repr__) and
+    leaves to it the trees it would refuse or write otherwise: non-finite
+    floats, non-str keys, unsupported objects, and cycles.
+    """
+    try:
+        return _dump(tree, "\n") + "\n"
+    except (_Defer, RecursionError):
+        return json.dumps(tree, indent=2, allow_nan=False) + "\n"
+
+
+def _dump(value, nl: str) -> str:
+    """``value`` as JSON, with ``nl`` the newline and indent of its own line."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise _Defer
+        return float.__repr__(value)
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = _pair_list_body(value, inner)
+        if body is None:
+            body = ("," + inner).join([_dump(v, inner) for v in value])
+        return "[" + inner + body + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, v in value.items():
+            if not isinstance(key, str):
+                raise _Defer
+            items.append(encode_basestring_ascii(key) + ": " + _dump(v, inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise _Defer
+
+
+def _pair_list_body(items, inner: str) -> str | None:
+    """The items of a list of [float, float] pairs, written in one
+    %-formatting step, or None if ``items`` is not such a list."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    flat = list(chain.from_iterable(items))
+    if set(map(type, flat)) != {float}:
+        return None
+    if not all(map(math.isfinite, flat)):
+        raise _Defer
+    deeper = inner + "  "
+    pair = "[" + deeper + "%s," + deeper + "%s" + inner + "]"
+    return ("," + inner).join([pair] * len(items)) % tuple(map(float.__repr__, flat))
 
 
 def serialize_matrix_document(doc: MatrixDocument) -> str:

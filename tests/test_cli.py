@@ -95,6 +95,24 @@ class TestClassify:
         assert captured.out == ""
         assert "numerical failure: Out of range float values" in captured.err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("json_path", [None, "report.json"])
+    def test_text_report_beyond_float_range_is_numerical_failure(
+            self, tmp_path, capsys, json_path):
+        # Without --json '-' the same report is refused before any text.
+        doc = MatrixDocument.from_matrix([[1.5e308, 1.5e308], [1.5e308, -1.4e308]])
+        path = tmp_path / "overflow.json"
+        path.write_text(serialize_matrix_document(doc))
+        argv = ["classify", str(path)]
+        if json_path:
+            argv += ["--json", str(tmp_path / json_path)]
+        assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
+        if json_path:
+            assert not (tmp_path / json_path).exists()
+
     def test_bad_tolerance_combination(self, tmp_path, capsys):
         path = write_doc(tmp_path, "closed-form-s")
         code = main(["classify", str(path), "--zero-tol", "1e-3"])

@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uecsm.criteria import classify
 from uecsm.documents import (
@@ -168,6 +170,47 @@ class TestMatrixParseErrors:
             parse_matrix_document(text)
 
 
+ENTRY_MESSAGE = "entry ({}, {}): expected an [re, im] number pair, got {}"
+
+# (entries as JSON text, the exact DocumentError message): the first bad row
+# or entry in row-major order is named, whichever check finds it.
+REJECTIONS = {
+    "bool-in-pair": ("[[[true, 0]]]", ENTRY_MESSAGE.format(1, 1, "[True, 0]")),
+    "numeric-string-in-pair": ('[[["1", 0]]]', ENTRY_MESSAGE.format(1, 1, "['1', 0]")),
+    "null-in-pair": ("[[[1, null]]]", ENTRY_MESSAGE.format(1, 1, "[1, None]")),
+    "nested-list-entry": ("[[[[1, 0], [0, 0]]]]",
+                          ENTRY_MESSAGE.format(1, 1, "[[1, 0], [0, 0]]")),
+    "one-element-pair": ("[[[1]]]", ENTRY_MESSAGE.format(1, 1, "[1]")),
+    "three-element-pair": ("[[[1, 2, 3]]]", ENTRY_MESSAGE.format(1, 1, "[1, 2, 3]")),
+    "bare-number-entry": ("[[[1, 0], 5], [[0, 0], [1, 0]]]",
+                          ENTRY_MESSAGE.format(1, 2, "5")),
+    "dict-row": ('[{"a": [1, 0]}]', "row 1 must have 1 entries (square matrix)"),
+    "string-row": ('["ab", [[1, 0], [0, 0]]]', "row 1 must have 2 entries (square matrix)"),
+    "ragged-row": ("[[[1, 0], [0, 0]], [[0, 0]]]",
+                   "row 2 must have 2 entries (square matrix)"),
+    "empty-row": ("[[]]", "row 1 must have 1 entries (square matrix)"),
+    "integer-beyond-float": ("[[[" + str(10 ** 400) + ", 0]]]",
+                             ENTRY_MESSAGE.format(1, 1, f"[{10 ** 400}, 0]")),
+    "literal-1e400": ("[[[1e400, 0]]]", ENTRY_MESSAGE.format(1, 1, "[inf, 0]")),
+    "literal-nan": ("[[[NaN, 0]]]", ENTRY_MESSAGE.format(1, 1, "[nan, 0]")),
+    "literal-infinity": ("[[[0, Infinity]]]", ENTRY_MESSAGE.format(1, 1, "[0, inf]")),
+    "literal-minus-infinity": ("[[[-Infinity, 0]]]",
+                               ENTRY_MESSAGE.format(1, 1, "[-inf, 0]")),
+    "first-of-two-bad-entries": ("[[[1, 0], [0, 0]], [[true, 0], [1, null]]]",
+                                 ENTRY_MESSAGE.format(2, 1, "[True, 0]")),
+    "bad-entry-before-short-row": (
+        "[[[1, 0], [0, 0], [1]], [[0, 0], [1, 0], [0, 0]], [[0, 0]]]",
+        ENTRY_MESSAGE.format(1, 3, "[1]")),
+}
+
+
+@pytest.mark.parametrize("entries, message", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_entry_rejection_message(entries, message):
+    with pytest.raises(DocumentError) as info:
+        parse_matrix_document('{"format_version": 1, "entries": ' + entries + "}")
+    assert str(info.value) == message
+
+
 DELETE = object()
 
 # (path into the report payload, replacement value or DELETE); every one is
@@ -323,6 +366,19 @@ class TestReportDocuments:
         with pytest.raises(ValueError):
             serialize_report_document(doc)
 
+    def test_writer_refuses_non_finite_pair(self):
+        doc = report_for("family-s5")
+        doc["certificate"]["s"][0][1] = [0.5, float("nan")]
+        with pytest.raises(ValueError, match="^Out of range float values are not "
+                                             "JSON compliant: nan$"):
+            serialize_report_document(doc)
+
+    def test_writer_refuses_unsupported_objects(self):
+        doc = report_for("family-s5")
+        doc["oracle"] = object()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            serialize_report_document(doc)
+
     def test_wrong_version_rejected(self):
         payload = json.loads(serialize_report_document(report_for("family-s5")))
         payload["format_version"] = 2
@@ -339,3 +395,46 @@ class TestDocumentError:
 
     def test_is_a_value_error(self):
         assert issubclass(DocumentError, ValueError)
+
+
+# JSON trees for the writer: str keys; ints past 2**64; finite floats with
+# the edge values; non-ASCII and control characters; tuples, empty lists and
+# dicts; and lists of [re, im] pairs, which the writer formats in one step.
+FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308]))
+INTS = st.integers() | st.integers(min_value=2 ** 64, max_value=2 ** 200).map(
+    lambda i: i if i % 2 else -i)
+TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "caf\u00e9 \u65e5\u672c", "\"quoted\" \\ \n\t", "\U0001f600"])
+PAIRS = st.lists(st.lists(FLOATS, min_size=2, max_size=2), max_size=5)
+LEAVES = st.none() | st.booleans() | INTS | FLOATS | TEXT | PAIRS
+TREES = st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=25)
+WRITER = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@WRITER
+@given(tree=TREES)
+def test_writer_matches_json_dumps(tree):
+    assert serialize_report_document(tree) == json.dumps(tree, indent=2,
+                                                         allow_nan=False) + "\n"
+
+
+MATRICES = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(FLOATS, min_size=2 * n * n, max_size=2 * n * n).map(
+        lambda parts: np.array(parts).view(np.complex128).reshape(n, n)))
+
+
+@WRITER
+@given(m=MATRICES, label=st.none() | TEXT)
+def test_matrix_writer_matches_json_dumps(m, label):
+    doc = MatrixDocument.from_matrix(m, label=label)
+    text = serialize_matrix_document(doc)
+    assert text == json.dumps({"format_version": 1, "label": label, "n": len(m),
+                               "entries": np.stack((m.real, m.imag), -1).tolist()},
+                              indent=2, allow_nan=False) + "\n"
+    assert parse_matrix_document(text) == doc
