@@ -113,10 +113,10 @@ def _decide(kind: str, indices, left, right, limit: float) -> TestVerdict:
     if gaps.size == 0:
         return TestVerdict(kind, Outcome.PASS, Witness((), 0j, 0j, 0.0))
     m = int(gaps.argmax())
-    witness = Witness(tuple(int(a[m]) + 1 for a in indices),
-                      complex(left[m]), complex(right[m]), float(gaps[m]))
-    outcome = Outcome.PASS if witness.discrepancy <= limit else Outcome.FAIL
-    return TestVerdict(kind, outcome, witness)
+    gap = gaps.item(m)
+    witness = Witness(tuple([a.item(m) + 1 for a in indices]),
+                      complex(left.item(m)), complex(right.item(m)), gap)
+    return TestVerdict(kind, Outcome.PASS if gap <= limit else Outcome.FAIL, witness)
 
 
 @functools.cache
@@ -131,10 +131,9 @@ def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def angle_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
     """Compare |<u_i, u_j>| against |<v_i, v_j>| over all pairs i < j."""
-    gu, gv = gram_pair(sd)
     i, j = pair_indices(sd.n)
-    return _decide("Angle", (i, j), np.abs(gu[i, j]), np.abs(gv[i, j]),
-                   cfg.match_tol)
+    moduli = np.abs(gram_pair(sd)[:, i, j])
+    return _decide("Angle", (i, j), moduli[0], moduli[1], cfg.match_tol)
 
 
 def grammian_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
@@ -144,15 +143,15 @@ def grammian_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
     gives both spectra, ascending; they are compared entrywise in descending
     order against a band relative to ||U* U||_F.
     """
-    gu, gv = gram_pair(sd)
-    spec_u, spec_v = np.linalg.eigvalsh(np.stack((gu, gv)))[:, ::-1]
+    grams = gram_pair(sd)
+    spec_u, spec_v = np.linalg.eigvalsh(grams)[:, ::-1]
     return _decide("Grammian", (np.arange(sd.n),), spec_u, spec_v,
-                   cfg.match_tol * float(np.linalg.norm(gu)))
+                   cfg.match_tol * float(np.linalg.norm(grams[0])))
 
 
 def parallelepiped_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
     """Compare |det U| with |det V| (unit columns, so both lie in (0, 1])."""
-    det = np.linalg.det(np.stack((sd.u_basis, sd.v_basis)))
+    det = np.linalg.det(np.array((sd.u_basis, sd.v_basis)))
     volume = np.hypot(det.real, det.imag)    # as abs(complex); np.abs may differ
     return _decide("Parallelepiped", (), volume[:1], volume[1:], cfg.match_tol)
 
@@ -165,13 +164,10 @@ def strong_angle_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCE
     changes; an odd permutation of a triple conjugates both sides at once,
     so the canonical orientation loses nothing.
     """
-    gu, gv = gram_pair(sd)
-    uu = gu.T    # uu[i, j] = <u_i, u_j>
-    vv = gv.T
+    grams = gram_pair(sd)    # grams[:, j, i] = <u_i, u_j>, <v_i, v_j>
     i, j, k = _triple_indices(sd.n)
-    left = uu[i, j] * uu[j, k] * uu[k, i]
-    right = np.conj(vv[i, j] * vv[j, k] * vv[k, i])
-    return _decide("StrongAngle", (i, j, k), left, right, cfg.match_tol)
+    left, right = grams[:, j, i] * grams[:, k, j] * grams[:, i, k]
+    return _decide("StrongAngle", (i, j, k), left, np.conj(right), cfg.match_tol)
 
 
 def classify(

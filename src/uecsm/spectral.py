@@ -25,6 +25,7 @@ is phase-invariant or covariant in a controlled way, and tested for it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,16 +93,16 @@ class SpectralData:
         return cls(lambdas=lam, u_basis=u, v_basis=v, e_diag=e)
 
     @functools.cached_property
-    def _gram_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        u, v = self.u_basis, self.v_basis
-        gu, gv = u.conj().T @ u, v.conj().T @ v
-        gu.flags.writeable = gv.flags.writeable = False
-        return gu, gv
+    def _gram_pair(self) -> np.ndarray:
+        bases = np.array((self.u_basis, self.v_basis))
+        pair = bases.conj().transpose(0, 2, 1) @ bases
+        pair.flags.writeable = False
+        return pair
 
 
-def gram_pair(sd: SpectralData) -> tuple[np.ndarray, np.ndarray]:
-    """(U* U, V* V), computed once per ``sd`` and read-only; entry (i, j)
-    is <u_j, u_i> resp. <v_j, v_i>."""
+def gram_pair(sd: SpectralData) -> np.ndarray:
+    """(U* U, V* V) stacked as one (2, n, n) array, computed once per ``sd``
+    and read-only; entry (i, j) is <u_j, u_i> resp. <v_j, v_i>."""
     return sd._gram_pair
 
 
@@ -144,6 +145,23 @@ def assert_distinct_spectrum(lambdas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     return None
 
 
+def _pair_adjoint(lam, mu, half_gap: float) -> tuple[np.ndarray, tuple[int, float] | None]:
+    """Pair each conj(lambda_i) with its nearest adjoint eigenvalue
+    ``mu[matched[i]]``: ``(matched, None)``, or ``(matched, (i, offset))``
+    for the first i whose match lies past ``half_gap`` or was taken by an
+    earlier i.  With a certifiably separated spectrum the match sits at
+    distance ~eps * kappa * ||t||; a failure means the two runs disagree
+    about where the eigenvalues are."""
+    dist = np.abs(mu - np.conj(lam)[:, None])
+    matched = dist.argmin(axis=1)
+    taken = set()
+    for i, (k, row) in enumerate(zip(matched.tolist(), dist.tolist())):
+        if row[k] > half_gap or k in taken:
+            return matched, (i, row[k])
+        taken.add(k)
+    return matched, None
+
+
 def compute_spectral_data(
     t,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -158,7 +176,9 @@ def compute_spectral_data(
     biorthogonality violation, by contrast, is raised as
     NumericalBreakdownError: with a genuinely separated spectrum neither
     can happen short of solver failure.  Nothing here is random.  The work
-    is done on ``power_of_two_rescale(t)``, reported in the units of ``t``.
+    is done on ``power_of_two_rescale(t)``, reported in the units of ``t``;
+    a spectrum beyond the float range in those units is a
+    NumericalBreakdownError too.
     """
     a, exponent = power_of_two_rescale(t)
     scale = float(np.linalg.norm(a))
@@ -169,20 +189,12 @@ def compute_spectral_data(
 
     a_star = a.conj().T
     mu = eigenvalues(a_star)
-    # Pair each conj(lambda_i) with its nearest adjoint eigenvalue.  With a
-    # certifiably separated spectrum it sits at distance ~eps * kappa * ||t||;
-    # a match past half the gap threshold, or taken by an earlier i, means
-    # the two runs disagree about where the eigenvalues are.
-    dist = np.abs(mu - np.conj(lam)[:, None])
-    matched = dist.argmin(axis=1)
-    offset = dist.min(axis=1)
-    taken = np.tril(matched[:, None] == matched, -1).any(axis=1)
-    unpaired = (offset > 0.5 * cfg.eig_gap_tol * scale) | taken
-    if unpaired.any():
-        i = int(unpaired.argmax())
+    matched, unpaired = _pair_adjoint(lam, mu, 0.5 * cfg.eig_gap_tol * scale)
+    if unpaired is not None:
+        i, offset = unpaired
         return NotApplicable(
             reason="adjoint spectrum does not pair with conjugated eigenvalues "
-                   f"(offset {np.ldexp(offset[i], exponent):.3e} at index {i + 1}); "
+                   f"(offset {np.ldexp(offset, exponent):.3e} at index {i + 1}); "
                    "spectrum effectively degenerate at working precision",
         )
 
@@ -194,19 +206,26 @@ def compute_spectral_data(
     v = unit_eigenvector(a_star, mu[matched], cfg, start=left)
 
     e = v.conj().T @ u
-    e_diag = np.diag(e).copy()
-    min_diag = float(np.abs(e_diag).min())
+    modulus = np.abs(e)
+    min_diag = float(modulus.diagonal().min())
     if min_diag <= cfg.zero_tol:
         return NotApplicable(
             reason=f"effectively degenerate spectrum: min |<u_i, v_i>| = "
                    f"{min_diag:.3e} (eigenvalue condition beyond working "
                    "precision)",
         )
-    off = e - np.diag(e_diag)
-    max_off = float(np.abs(off).max())
+    modulus.flat[::len(e) + 1] = 0.0    # keep |<u_i, v_j>| for i != j only
+    max_off = float(modulus.max())
     if max_off > cfg.zero_tol:
         raise NumericalBreakdownError(
             f"biorthogonality violated: max |<u_i, v_j>| = {max_off:.3e} "
             f"for i != j exceeds zero_tol = {cfg.zero_tol:.3e}")
+    top = float(np.abs(lam.view(np.float64)).max())    # largest |Re|, |Im|
+    try:
+        math.ldexp(top, exponent)    # raises where np.ldexp would give inf
+    except OverflowError:
+        raise NumericalBreakdownError(
+            f"spectrum beyond the float range: largest eigenvalue part "
+            f"{top:.3e} * 2**{exponent} overflows in the units of T") from None
     return SpectralData(lambdas=complex_ldexp(lam, exponent), u_basis=u, v_basis=v,
-                        e_diag=e_diag)
+                        e_diag=e.diagonal().copy())

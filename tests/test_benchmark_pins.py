@@ -1,12 +1,15 @@
 """The benchmark's own files, checked in the test suite.
 
 The tracer wraps package functions by (module, attribute), so a rename in
-the package would break its per-layer spans only when the benchmark runs;
-and the workloads check every answer, so a wrong answer would show only
-there.  Both checks here fail at once instead.  ``perfbench/tracer.py`` and
-``perfbench/workloads.py`` are loaded, not edited.
+the package would break its per-layer spans only when the benchmark runs,
+and a refactor that stops calling a wrapped function would leave its span
+empty; the workloads check every answer, so a wrong answer would show only
+there.  The checks here fail at once instead.  ``perfbench/tracer.py`` and
+``perfbench/workloads.py`` are loaded, not edited, and the layers each
+workload must reach are read from ``perfbench/test_perfbench.py``.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -40,3 +43,30 @@ def test_classify_requests_pass_the_benchmark_checks(monkeypatch):
         p = workloads.run_pass(workloads.ClassifyMixed(seed), ops=30)
         assert (p.attempted, p.ops) == (30, 30)
         assert (p.failed, p.incorrect) == (0, 0), p.notes
+
+
+def works_on(workload):
+    """The layers ``WORKS_ON`` in perfbench/test_perfbench.py says a
+    workload reaches, read from its source without importing it."""
+    tree = ast.parse((PERFBENCH / "test_perfbench.py").read_text())
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["WORKS_ON"]:
+            return ast.literal_eval(node.value)[workload]
+    raise LookupError("WORKS_ON is not assigned in perfbench/test_perfbench.py")
+
+
+def test_search3_reaches_every_pinned_layer(monkeypatch):
+    # search3 traces a per-candidate classify through its helpers; a path
+    # that bypasses one of them would leave that span empty.
+    workloads = load(monkeypatch, "workloads")
+    tracer = load(monkeypatch, "tracer")
+    untraced = workloads.run_pass(workloads.Search3(seed=7), ops=3)
+    with tracer.Tracer() as spans:
+        traced = workloads.run_pass(workloads.Search3(seed=7), ops=3)
+    assert (untraced.failed, traced.failed) == (0, 0), untraced.notes + traced.notes
+    assert traced.answers == untraced.answers
+    calls = spans.metrics(traced.timed_s)
+    layers = works_on("search3")
+    assert "linalg.unit_eigenvector" in layers
+    assert [layer for layer in layers if calls[f"{layer}.calls"] < 1] == []

@@ -84,18 +84,19 @@ class TestClassify:
         assert main(["classify", str(path)]) == EXIT_BAD_INPUT
         assert "error: invalid JSON" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_report_beyond_float_range_is_numerical_failure(self, tmp_path, capsys):
-        # A finite matrix whose eigenvalues, about +-2.05e308, are not.
+        # A finite matrix whose eigenvalues, about +-2.05e308, are not: the
+        # eigensystem refuses it, without numpy's overflow warning.
         doc = MatrixDocument.from_matrix([[1.5e308, 1.5e308], [1.5e308, -1.4e308]])
         path = tmp_path / "overflow.json"
         path.write_text(serialize_matrix_document(doc))
         assert main(["classify", str(path), "--json", "-"]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "numerical failure: Out of range float values" in captured.err
+        assert "numerical failure: spectrum beyond the float range" in captured.err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("json_path", [None, "report.json"])
     def test_text_report_beyond_float_range_is_numerical_failure(
             self, tmp_path, capsys, json_path):
@@ -109,7 +110,7 @@ class TestClassify:
         assert main(argv) == EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "numerical failure" in captured.err
+        assert "numerical failure: spectrum beyond the float range" in captured.err
         if json_path:
             assert not (tmp_path / json_path).exists()
 

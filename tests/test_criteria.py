@@ -26,7 +26,7 @@ from uecsm.criteria import (
     parallelepiped_test,
     strong_angle_test,
 )
-from uecsm.linalg import DEFAULT_TOLERANCES, complex_ldexp
+from uecsm.linalg import DEFAULT_TOLERANCES, NumericalBreakdownError, complex_ldexp
 from uecsm.fixtures import (
     COUNTEREXAMPLE,
     COUNTEREXAMPLE_BETA_SPECTRUM,
@@ -311,6 +311,14 @@ class TestScaleInvariance:
         report = classify([[1.5e308 + 1.5e308j, 1e307], [0, 1e307]])
         assert report.final is FinalVerdict.UECSM
         assert report.certificate.is_valid()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spectrum_beyond_the_float_range_is_refused(self):
+        # Every entry is finite, but the eigenvalues, about +-2.05e308, are
+        # not: no report with an infinite spectrum, and no overflow warning.
+        with pytest.raises(NumericalBreakdownError,
+                           match=r"spectrum beyond the float range: .* \* 2\*\*1024"):
+            classify([[1.5e308, 1.5e308], [1.5e308, -1.4e308]])
 
     def test_powers_of_four_scale_bit_for_bit(self):
         for t, _ in self.cases():

@@ -5,7 +5,9 @@ must survive unitary conjugation; T = U S U* with S symmetric gives
 T^t = conj(U) S conj(U)* and cT = U (cS) U*, so it must survive
 transposition and scaling too, and T (+) 0_1 = (U (+) 1)(S (+) 0_1)(U (+) 1)*
 keeps it as well.  Every complex symmetric matrix is
-trivially UECSM, so ``classify`` must certify it.  Matrices are
+trivially UECSM, so ``classify`` must certify it.  The memory layout of T
+is no part of the input: C order, Fortran order and a strided view give
+the same report, bit for bit.  Matrices are
 drawn from seed integers, and hypothesis runs derandomized, so every run
 checks the same examples.
 """
@@ -62,3 +64,24 @@ def test_complex_symmetric_input_is_certified(seed, n):
     report = classify(g + g.T)
     assert report.final is FinalVerdict.UECSM
     assert report.certificate is not None and report.certificate.is_valid()
+
+
+def report_bits(report):
+    """Everything a report says: arrays as their bytes, the rest by repr,
+    which tells every float apart, signed zeros included."""
+    cert = report.certificate
+    return (repr((report.final, report.verdicts, report.not_applicable)),
+            None if report.spectrum is None else report.spectrum.tobytes(),
+            None if cert is None else (cert.s.tobytes(), cert.alphas.tobytes(),
+                                       repr((cert.residuals(), cert.beta_min_divisor))))
+
+
+@PROPERTY
+@given(seed=SEEDS, n=SIZES, symmetric_core=st.booleans())
+def test_report_ignores_memory_layout(seed, n, symmetric_core):
+    t = drawn_matrix(seed, n, symmetric_core)
+    big = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    big[::2, ::2] = t
+    expected = report_bits(classify(t))
+    for variant in (np.asfortranarray(t), big[::2, ::2], np.asfortranarray(big)[::2, ::2]):
+        assert report_bits(classify(variant)) == expected

@@ -21,6 +21,7 @@ from uecsm.search import candidate_matrix
 from uecsm.spectral import (
     NotApplicable,
     SpectralData,
+    _pair_adjoint,
     assert_distinct_spectrum,
     compute_spectral_data,
     gram_pair,
@@ -75,10 +76,10 @@ class TestComputeSpectralData:
         assert np.array_equal(a.v_basis, b.v_basis)
 
     def test_gram_pair_is_computed_once_and_read_only(self, closed_form_data):
-        gu, gv = gram_pair(closed_form_data)
-        again = gram_pair(closed_form_data)
-        assert again[0] is gu and again[1] is gv
-        assert not gu.flags.writeable and not gv.flags.writeable
+        grams = gram_pair(closed_form_data)
+        assert gram_pair(closed_form_data) is grams
+        assert grams.shape == (2, 3, 3) and not grams.flags.writeable
+        gu, gv = grams
         u, v = closed_form_data.u_basis, closed_form_data.v_basis
         assert np.array_equal(gu, u.conj().T @ u)
         assert np.array_equal(gv, v.conj().T @ v)
@@ -109,6 +110,20 @@ class TestComputeSpectralData:
         assert checked > 1900
 
 
+def reference_pairing(lam, mu, half_gap):
+    """The adjoint pairing as a plain loop: matched indices, and the first
+    (i, offset) whose nearest adjoint eigenvalue is too far or taken."""
+    matched, failure, taken = [], None, set()
+    for i, z in enumerate(lam):
+        dist = np.abs(mu - np.conj(z))
+        k = int(np.argmin(dist))
+        matched.append(k)
+        if failure is None and (dist[k] > half_gap or k in taken):
+            failure = (i, float(dist[k]))
+        taken.add(k)
+    return matched, failure
+
+
 def loop_pairing(t, cfg=DEFAULT_TOLERANCES):
     """The adjoint pairing of compute_spectral_data as a plain loop over the
     eigenvalues: where its first failure is reported, or None."""
@@ -116,14 +131,52 @@ def loop_pairing(t, cfg=DEFAULT_TOLERANCES):
     lam, _ = eigensystem(a)
     mu = eigenvalues(a.conj().T)
     half_gap = 0.5 * cfg.eig_gap_tol * float(np.linalg.norm(a))
-    taken = set()
-    for i, z in enumerate(lam):
-        dist = np.abs(mu - np.conj(z))
-        k = int(np.argmin(dist))
-        if dist[k] > half_gap or k in taken:
-            return f"(offset {np.ldexp(dist[k], exponent):.3e} at index {i + 1})"
-        taken.add(k)
-    return None
+    _, failure = reference_pairing(lam, mu, half_gap)
+    if failure is None:
+        return None
+    i, offset = failure
+    return f"(offset {np.ldexp(offset, exponent):.3e} at index {i + 1})"
+
+
+class TestPairAdjoint:
+    HALF_GAP = 1e-6
+
+    def planted(self, rng):
+        """A spectrum and its adjoint's, shuffled and perturbed well within
+        HALF_GAP, with random plants: a near-duplicate eigenvalue (two
+        conj(lambda_i) nearest to one mu_k) and an adjoint eigenvalue moved
+        past HALF_GAP."""
+        n = int(rng.integers(2, 9))
+        lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if rng.random() < 0.5:
+            i, j = rng.choice(n, size=2, replace=False)
+            lam[j] = lam[i] + 1e-9 * (1 + 1j)    # both pair with mu near conj(lam[i])
+        mu = np.conj(lam) + 1e-12 * rng.standard_normal(n)
+        if rng.random() < 0.5:
+            mu[int(rng.integers(n))] += 10 * self.HALF_GAP * (1 + 1j)
+        return lam, rng.permutation(mu)
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(15)
+        reasons = {"taken": 0, "offset": 0}
+        for _ in range(400):
+            lam, mu = self.planted(rng)
+            matched, failure = _pair_adjoint(lam, mu, self.HALF_GAP)
+            expected_matched, expected_failure = reference_pairing(lam, mu, self.HALF_GAP)
+            assert matched.tolist() == expected_matched
+            assert failure == expected_failure
+            if failure is not None:
+                reasons["offset" if failure[1] > self.HALF_GAP else "taken"] += 1
+        # Both failure kinds occur; no eigensystem that clears the gap rule
+        # reaches the "taken" one.
+        assert min(reasons.values()) >= 20, reasons
+
+    def test_taken_reported_before_a_later_offset_failure(self):
+        lam = np.array([0.0, 1.0, 1.0 + 1e-9, 5.0])
+        mu = np.array([0.0, 1.0, 3.0, 5.0 + 1e-3])    # 5 is off by 1e-3 > HALF_GAP
+        matched, failure = _pair_adjoint(lam, mu, self.HALF_GAP)
+        assert failure == (2, float(np.abs(mu[1] - np.conj(lam[2]))))
+        assert matched.tolist() == [0, 1, 1, 3]
 
 
 class TestNotApplicable:
