@@ -12,9 +12,9 @@ fixing the gauge alpha_1 = 1; alpha as a whole is determined only up to one
 global unimodular factor, and S inherits exactly that ambiguity.
 
 Partially defined beta matrices are completed as that rank-one matrix by
-one walk over alpha (``complete_beta``); only an index that no chain of
-defined entries links to an earlier one has a genuinely free phase, set
-to 1.
+one breadth-first walk over the defined entries (``complete_beta``); each
+connected component of them has one genuinely free phase, set to 1 at its
+lowest index.
 
 With alpha in hand,
 
@@ -29,6 +29,7 @@ residuals of these four identities rather than trusting the derivation.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,32 +135,25 @@ def build_beta(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> B
 def complete_beta(b: BetaMatrix) -> BetaMatrix:
     """Fill the undefined entries of ``b`` with conj(alpha)^t alpha.
 
-    One walk over alpha: alpha_1 = 1, and each later alpha_j = alpha_i
-    beta_ij for the lowest i < j with beta_ij defined, or 1 when there is
-    none.  The walk leaves trees, each rooted at an index of phase 1.  A
-    defined entry between two trees fixes their relative phase, so while one
-    exists the tree with the higher root is turned to agree with the other;
-    a tree that no defined entry reaches has a free phase.  Defined entries
-    are kept, so row 1 of the result is alpha.  Assumes the defined entries
-    already satisfy multiplicativity (strong angle pass); no consistency is
-    re-checked here.
+    alpha comes from one breadth-first walk over the defined entries: the
+    lowest index of each connected component has phase 1, and every other
+    alpha_j = alpha_i beta_ij for the index i that first reaches j.  Defined
+    entries are kept, so row 1 of the result is alpha.  Assumes they are
+    multiplicative (strong angle pass); nothing is re-checked here.
     """
-    n = b.n
-    anchors = b.defined.argmax(axis=0).tolist()    # lowest defined row per column
-    column = b.entries[anchors, range(n)].tolist()
-    alpha = [1.0 + 0j] * n
-    root = list(range(n))
-    for j in range(1, n):
-        i = anchors[j]
-        if i < j:
-            alpha[j] = alpha[i] * column[j]
-            root[j] = root[i]
-    alpha, root = np.array(alpha), np.array(root)
-    while root.any() and (links := np.argwhere(b.defined & (root[:, None] < root))).size:
-        i, j = links[0]
-        turned = root == root[j]
-        alpha[turned] *= alpha[i] * b.entries[i, j] / alpha[j]
-        root[turned] = root[i]
+    alpha = np.ones(b.n, dtype=np.complex128)
+    unreached = np.ones(b.n, dtype=bool)
+    queue = deque()
+    while unreached.any():
+        if not queue:    # the next component, from its lowest index
+            lowest = int(unreached.argmax())
+            unreached[lowest] = False
+            queue.append(lowest)
+        i = queue.popleft()
+        reached = b.defined[i] & unreached
+        alpha[reached] = alpha[i] * b.entries[i, reached]
+        unreached &= ~reached
+        queue.extend(np.flatnonzero(reached).tolist())
     entries = np.where(b.defined, b.entries, np.outer(alpha.conj(), alpha))
     return BetaMatrix(entries=entries, defined=np.ones_like(b.defined),
                       min_divisor=b.min_divisor)

@@ -9,9 +9,10 @@ checked on input; this module reads and writes version 1.
 A matrix document's entries are validated in one array pass: a sweep over
 the types of the numbers, one float conversion and one finiteness check.
 Only a document that fails it is walked entry by entry, to name the first
-bad row or entry.  The writer is byte-identical to
-``json.dumps(tree, indent=2, allow_nan=False)`` and formats each list of
-``[re, im]`` float pairs in one step.
+bad row or entry.  The writer writes what the standard library's encoder
+writes with indent=2 and allow_nan=False, byte for byte, refuses what it
+refuses with its errors, and also refuses a non-str key, which it would
+coerce.  It formats each list of ``[re, im]`` float pairs in one step.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def parse_matrix_document(text: str) -> MatrixDocument:
         raise DocumentError("entries must be a nonempty list of rows")
     n = len(raw)
     parts = _entry_parts(raw)
-    if parts is None:
+    if parts is None:    # name the first row or entry that _entry_parts refused
         for i, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != n:
                 raise DocumentError(f"row {i + 1} must have {n} entries (square matrix)")
@@ -151,7 +152,6 @@ def parse_matrix_document(text: str) -> MatrixDocument:
                 if not _is_pair(v):
                     raise DocumentError(f"entry ({i + 1}, {j + 1}): expected an "
                                         f"[re, im] number pair, got {v!r}")
-        parts = np.array(raw, dtype=np.float64)
     declared = data.get("n")
     if declared is not None and (not _is_int(declared) or declared != n):
         raise DocumentError(f"declared n = {declared} but entries are {n}x{n}")
@@ -175,27 +175,22 @@ def _entry_parts(raw: list) -> np.ndarray | None:
     return parts
 
 
-class _Defer(Exception):
-    """A value the fast writer leaves to ``json.dumps``."""
-
-
 def _write(tree) -> str:
-    """``json.dumps(tree, indent=2, allow_nan=False) + "\\n"``, byte for byte.
-
-    ``json.dumps`` with an indent runs CPython's pure-Python encoder.  This
-    writer keeps its rules (str, None, bool, int, float, list or tuple, dict,
-    each tested in that order, with int.__repr__ and float.__repr__) and
-    leaves to it the trees it would refuse or write otherwise: non-finite
-    floats, non-str keys, unsupported objects, and cycles.
-    """
-    try:
-        return _dump(tree, "\n") + "\n"
-    except (_Defer, RecursionError):
-        return json.dumps(tree, indent=2, allow_nan=False) + "\n"
+    """The JSON text of ``tree``: what the standard library writes with
+    indent=2 and allow_nan=False, and a newline, byte for byte."""
+    return _dump(tree, "\n") + "\n"
 
 
 def _dump(value, nl: str) -> str:
-    """``value`` as JSON, with ``nl`` the newline and indent of its own line."""
+    """``value`` as JSON, with ``nl`` the newline and indent of its own line.
+
+    Keeps the rules of CPython's pure-Python encoder: types are tested in
+    its order (str, None, bool, int, float, list or tuple, dict), numbers
+    are written by int.__repr__ and float.__repr__, and what it refuses
+    raises its error: a non-finite float, an unsupported object.  A non-str
+    key, which it would coerce, is refused too, and a cycle runs into
+    RecursionError.
+    """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -208,7 +203,7 @@ def _dump(value, nl: str) -> str:
         return int.__repr__(value)
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise _Defer
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return float.__repr__(value)
     inner = nl + "  "
     if isinstance(value, (list, tuple)):
@@ -224,22 +219,20 @@ def _dump(value, nl: str) -> str:
         items = []
         for key, v in value.items():
             if not isinstance(key, str):
-                raise _Defer
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             items.append(encode_basestring_ascii(key) + ": " + _dump(v, inner))
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    raise _Defer
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _pair_list_body(items, inner: str) -> str | None:
-    """The items of a list of [float, float] pairs, written in one
+    """The items of a list of finite [float, float] pairs, written in one
     %-formatting step, or None if ``items`` is not such a list."""
     if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
         return None
     flat = list(chain.from_iterable(items))
-    if set(map(type, flat)) != {float}:
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
         return None
-    if not all(map(math.isfinite, flat)):
-        raise _Defer
     deeper = inner + "  "
     pair = "[" + deeper + "%s," + deeper + "%s" + inner + "]"
     return ("," + inner).join([pair] * len(items)) % tuple(map(float.__repr__, flat))

@@ -26,7 +26,7 @@ from uecsm.conjugation import (
 )
 from uecsm.criteria import FinalVerdict, classify
 from uecsm.fixtures import CLOSED_FORM_S, CLOSED_FORM_VECTORS, find_fixture
-from uecsm.linalg import ToleranceConfig
+from uecsm.linalg import LinearAlgebraError, ToleranceConfig
 from uecsm.spectral import SpectralData, compute_spectral_data
 
 T_CLOSED = find_fixture("closed-form-s").matrix()
@@ -155,6 +155,13 @@ class TestBuildS:
     def test_wrong_alpha_length_raises(self):
         with pytest.raises(ValueError):
             build_s(pinned_data(), [1, 1])
+
+    def test_vanishing_e_diag_refused(self):
+        # u_1 and u_2 are orthogonal to v_1 and v_2, so e_1 = e_2 = 0.
+        v = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+        sd = SpectralData.from_bases([0.0, 1.0, 2.0], np.eye(3), v)
+        with pytest.raises(LinearAlgebraError, match="too small to divide by"):
+            build_s(sd, np.ones(3))
 
     def test_honours_caller_zero_tol(self):
         # min |e_i| = 3e-10 clears zero_tol = 1e-13 but not the default 1e-9;

@@ -13,6 +13,7 @@ import pytest
 
 import uecsm.oracle as oracle
 from uecsm.fixtures import TABLE2, TABLE3, family_member
+from uecsm.linalg import power_of_two_rescale
 from uecsm.oracle import (
     ORACLE_TOL,
     OracleOutcome,
@@ -188,6 +189,37 @@ class TestBruteForce:
         for t in (np.eye(2) + 0j, np.zeros((3, 3)), [[5]]):
             with pytest.raises(ValueError):
                 brute_force_uecsm(t, restarts=0)
+
+    def test_inconclusive_band_spends_every_restart(self, monkeypatch):
+        # Every descent ends at residual 3e-6, between ORACLE_TOL and
+        # NOT_UECSM_MARGIN * ORACLE_TOL: neither a certificate nor a refutation.
+        t = TABLE2[1].matrix()
+        t_norm = np.linalg.norm(power_of_two_rescale(t)[0])
+        f = 0.5 * (3e-6 * t_norm) ** 2
+        monkeypatch.setattr(oracle, "_descend", lambda a, q, f_floor: f)
+        verdict = brute_force_uecsm(t, restarts=5)
+        assert verdict.outcome is OracleOutcome.INCONCLUSIVE
+        assert verdict.restarts_used == 5
+        assert verdict.best_residual == pytest.approx(3e-6, rel=1e-12)
+
+    def test_restart_ends_after_max_tries_rejections(self, monkeypatch):
+        # Every trial point is infinitely worse, so each damped step is
+        # rejected; the restart ends after _MAX_TRIES of them at the start.
+        rng = np.random.default_rng(17)
+        t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        q = random_unitary(4, rng)
+        start = _objective(q, t)
+        trials = []
+
+        def expm(g):
+            trials.append(g)
+            return _expm_skew(g)
+
+        monkeypatch.setattr(oracle, "_objective",
+                            lambda p, a: start if p is q else np.inf)
+        monkeypatch.setattr(oracle, "_expm_skew", expm)
+        assert oracle._descend(t, q, 0.0) == start
+        assert len(trials) == oracle._MAX_TRIES
 
     def test_residual_scale_invariance(self):
         # The reported residual is relative, so scaling T should not change

@@ -9,13 +9,17 @@ eigenvalues (0, 1, 6).
 import numpy as np
 import pytest
 
+import uecsm.spectral as spectral
+from uecsm.criteria import classify
 from uecsm.fixtures import CLOSED_FORM_VECTORS, TABLE3, family_member, find_fixture
 from uecsm.linalg import (
     DEFAULT_TOLERANCES,
+    NumericalBreakdownError,
     ToleranceConfig,
     eigensystem,
     eigenvalues,
     power_of_two_rescale,
+    unit_eigenvector,
 )
 from uecsm.search import candidate_matrix
 from uecsm.spectral import (
@@ -31,6 +35,20 @@ from uecsm.spectral import (
 @pytest.fixture(scope="module")
 def closed_form_data():
     return compute_spectral_data(family_member(-5))
+
+
+def spy_unit_eigenvector(monkeypatch, v_side=lambda x: x):
+    """Wrap spectral's unit_eigenvector: the returned list collects (m, lam)
+    per call, and ``v_side`` maps the result of the second (v side) call."""
+    calls = []
+
+    def spy(m, lam, cfg=DEFAULT_TOLERANCES, *, start):
+        calls.append((np.array(m), np.array(lam)))
+        x = unit_eigenvector(m, lam, cfg, start=start)
+        return v_side(x) if len(calls) == 2 else x
+
+    monkeypatch.setattr(spectral, "unit_eigenvector", spy)
+    return calls
 
 
 class TestComputeSpectralData:
@@ -83,6 +101,31 @@ class TestComputeSpectralData:
         u, v = closed_form_data.u_basis, closed_form_data.v_basis
         assert np.array_equal(gu, u.conj().T @ u)
         assert np.array_equal(gv, v.conj().T @ v)
+
+    def test_each_basis_is_refined_once(self, monkeypatch):
+        # u on the rescaled T, then v on its adjoint at the paired conj(lambda).
+        calls = spy_unit_eigenvector(monkeypatch)
+        rng = np.random.default_rng(9)
+        t = 40 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        classify(t)
+        a = power_of_two_rescale(t)[0]
+        assert len(calls) == 2
+        (m_u, lam_u), (m_v, lam_v) = calls
+        assert np.array_equal(m_u, a)
+        assert np.array_equal(m_v, a.conj().T)
+        half_gap = 0.5 * DEFAULT_TOLERANCES.eig_gap_tol * np.linalg.norm(a)
+        assert np.abs(lam_v - lam_u.conj()).max() <= half_gap
+
+    def test_sheared_v_basis_is_a_breakdown(self, monkeypatch):
+        # A v basis off biorthogonality is a solver failure, not a verdict.
+        def shear(x):
+            x = x.copy()
+            x[:, 1] += 1e-3 * x[:, 0]
+            return x / np.linalg.norm(x, axis=0)
+
+        spy_unit_eigenvector(monkeypatch, v_side=shear)
+        with pytest.raises(NumericalBreakdownError, match="biorthogonality violated"):
+            compute_spectral_data(family_member(-5))
 
     def test_residual_and_biorthogonality_contract(self):
         # Unit columns, residuals near machine precision relative to ||T||
