@@ -36,6 +36,10 @@ canonical order (pairs and triples lexicographic, Grammian entries by
 descending eigenvalue), and passes iff that discrepancy is within its band.
 Where two comparisons are mathematically tied, rounding decides which one
 is reported.
+
+Every test also takes the SpectralData of a stack of matrices and returns
+one verdict per matrix, each what the matrix alone gives; ``classify`` on
+a (B, n, n) stack decides the whole stack that way.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .conjugation import (
     extract_alpha,
     verify_certificate,
 )
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, frobenius_norm
 from .spectral import (
     NotApplicable,
     SpectralData,
@@ -105,18 +109,32 @@ class ClassificationReport:
     certificate: ConjugationCertificate | None = None
 
 
-def _decide(kind: str, indices, left, right, limit: float) -> TestVerdict:
+# One test's verdict on one matrix, or one per matrix of a stack.
+Verdicts = TestVerdict | tuple[TestVerdict, ...]
+
+
+def _decide(kind: str, labels, left, right, limit) -> Verdicts:
     """Verdict on ``left[m]`` against ``right[m]``, witnessed by the first worst
-    comparison (``indices``: one 0-based array per witness coordinate); pass
-    iff within ``limit``, vacuously when nothing is compared (n = 1)."""
-    gaps = np.abs(left - right)
-    if gaps.size == 0:
-        return TestVerdict(kind, Outcome.PASS, Witness((), 0j, 0j, 0.0))
-    m = int(gaps.argmax())
-    gap = gaps.item(m)
-    witness = Witness(tuple([a.item(m) + 1 for a in indices]),
-                      complex(left.item(m)), complex(right.item(m)), gap)
-    return TestVerdict(kind, Outcome.PASS if gap <= limit else Outcome.FAIL, witness)
+    comparison m, whose 1-based indices are ``labels[m]``; pass iff within
+    ``limit``, vacuously when nothing is compared (n = 1).  With a leading
+    stack axis on ``left``, ``right`` and ``limit``: one verdict per row, as
+    a tuple."""
+    count = len(labels)
+    if count:
+        gaps = np.abs(left - right)
+        m = gaps.argmax(axis=-1).reshape(-1)
+        at = m + np.arange(0, gaps.size, count)    # the flat index of each row's worst
+        worst = gaps.take(at)
+        verdicts = [TestVerdict(kind, Outcome.PASS if ok else Outcome.FAIL,
+                                Witness(labels[k], complex(lv), complex(rv), gap))
+                    for k, gap, ok, lv, rv in zip(m.tolist(), worst.tolist(),
+                                                  (worst <= limit).tolist(),
+                                                  left.take(at).tolist(),
+                                                  right.take(at).tolist())]
+    else:
+        vacuous = TestVerdict(kind, Outcome.PASS, Witness((), 0j, 0j, 0.0))
+        verdicts = [vacuous] * (len(left) if left.ndim == 2 else 1)
+    return tuple(verdicts) if left.ndim == 2 else verdicts[0]
 
 
 @functools.cache
@@ -129,14 +147,48 @@ def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, k
 
 
-def angle_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
+@functools.cache
+def _labels(n: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """The 1-based witness indices of each comparison a test makes at size n,
+    in canonical order: nothing (one comparison), single indices, pairs
+    i < j, or triples i <= j <= k not all equal."""
+    if arity == 0:
+        return ((),)
+    indices = ((np.arange(n),), pair_indices(n), _triple_indices(n))[arity - 1]
+    return tuple(zip(*[(a + 1).tolist() for a in indices]))
+
+
+@functools.cache
+def _flat(n: int, arity: int) -> tuple[np.ndarray, ...]:
+    """Read-only flat positions in an n x n matrix: (i, j) of the pairs i < j
+    (arity 2), or the three factors (j, i), (k, j), (i, k) of the triples
+    (arity 3), each in canonical order."""
+    if arity == 2:
+        i, j = pair_indices(n)
+        flat = (i * n + j,)
+    else:
+        i, j, k = _triple_indices(n)
+        flat = (j * n + i, k * n + j, i * n + k)
+    for f in flat:
+        f.flags.writeable = False
+    return flat
+
+
+def _entries(grams: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The entries of each Gram matrix at the flat positions ``flat``."""
+    n = grams.shape[-1]
+    return grams.reshape(grams.shape[:-2] + (n * n,)).take(flat, axis=-1)
+
+
+def angle_test(sd: SpectralData,
+               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Verdicts:
     """Compare |<u_i, u_j>| against |<v_i, v_j>| over all pairs i < j."""
-    i, j = pair_indices(sd.n)
-    moduli = np.abs(gram_pair(sd)[:, i, j])
-    return _decide("Angle", (i, j), moduli[0], moduli[1], cfg.match_tol)
+    moduli = np.abs(_entries(gram_pair(sd), *_flat(sd.n, 2)))
+    return _decide("Angle", _labels(sd.n, 2), moduli[0], moduli[1], cfg.match_tol)
 
 
-def grammian_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
+def grammian_test(sd: SpectralData,
+                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Verdicts:
     """Compare the spectra of the two Gram matrices.
 
     Both are Hermitian positive definite, so one Hermitian eigensolver call
@@ -144,19 +196,21 @@ def grammian_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
     order against a band relative to ||U* U||_F.
     """
     grams = gram_pair(sd)
-    spec_u, spec_v = np.linalg.eigvalsh(grams)[:, ::-1]
-    return _decide("Grammian", (np.arange(sd.n),), spec_u, spec_v,
-                   cfg.match_tol * float(np.linalg.norm(grams[0])))
+    spec_u, spec_v = np.linalg.eigvalsh(grams)[..., ::-1]
+    return _decide("Grammian", _labels(sd.n, 1), spec_u, spec_v,
+                   cfg.match_tol * frobenius_norm(grams[0]))
 
 
-def parallelepiped_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
+def parallelepiped_test(sd: SpectralData,
+                        cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Verdicts:
     """Compare |det U| with |det V| (unit columns, so both lie in (0, 1])."""
     det = np.linalg.det(np.array((sd.u_basis, sd.v_basis)))
-    volume = np.hypot(det.real, det.imag)    # as abs(complex); np.abs may differ
-    return _decide("Parallelepiped", (), volume[:1], volume[1:], cfg.match_tol)
+    volume = np.hypot(det.real, det.imag)[..., None]    # as abs(complex); np.abs may differ
+    return _decide("Parallelepiped", _labels(sd.n, 0), volume[0], volume[1], cfg.match_tol)
 
 
-def strong_angle_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TestVerdict:
+def strong_angle_test(sd: SpectralData,
+                      cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Verdicts:
     """Cyclic triple products of inner products, u-side versus conjugated v-side.
 
     Runs over the canonically ordered triples i <= j <= k, not all equal
@@ -165,16 +219,20 @@ def strong_angle_test(sd: SpectralData, cfg: ToleranceConfig = DEFAULT_TOLERANCE
     so the canonical orientation loses nothing.
     """
     grams = gram_pair(sd)    # grams[:, j, i] = <u_i, u_j>, <v_i, v_j>
-    i, j, k = _triple_indices(sd.n)
-    left, right = grams[:, j, i] * grams[:, k, j] * grams[:, i, k]
-    return _decide("StrongAngle", (i, j, k), left, np.conj(right), cfg.match_tol)
+    ji, kj, ik = _flat(sd.n, 3)
+    left, right = _entries(grams, ji) * _entries(grams, kj) * _entries(grams, ik)
+    return _decide("StrongAngle", _labels(sd.n, 3), left, np.conj(right), cfg.match_tol)
+
+
+_NOT_APPLICABLE_VERDICTS = tuple(TestVerdict(kind, Outcome.NOT_APPLICABLE)
+                                 for kind in TEST_KINDS)
 
 
 def classify(
     t,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     seed: int = 0,
-) -> ClassificationReport:
+) -> ClassificationReport | tuple[ClassificationReport, ...]:
     """Run the full decision pipeline on ``t``.
 
     The final verdict is UECSM exactly when the strong angle test passes,
@@ -183,27 +241,44 @@ def classify(
     spectrum yield NotApplicable with every test marked accordingly.
     Numerical breakdown inside the eigensystem propagates as an error.
 
+    ``t`` may be a (B, n, n) stack: the result is then a tuple of B reports,
+    report b equal field for field to ``classify(t[b])``, decided in one
+    stacked pass through the eigensystem and the four tests (only the
+    certificate of a UECSM member is built matrix by matrix).  The stack
+    raises the LinearAlgebraError of a member if any member alone would.
+    One matrix runs as a stack of one.
+
     ``seed`` is accepted and ignored: the pipeline draws no random numbers.
     It stays because callers, among them ``run_search`` and stand-ins that
     replace ``classify`` with the signature ``(m, cfg, seed)``, pass it.
     """
-    sd = compute_spectral_data(t, cfg)
-    if isinstance(sd, NotApplicable):
-        verdicts = tuple(TestVerdict(kind, Outcome.NOT_APPLICABLE) for kind in TEST_KINDS)
-        return ClassificationReport(
-            final=FinalVerdict.NOT_APPLICABLE,
-            verdicts=verdicts,
-            not_applicable=sd,
-        )
+    found = compute_spectral_data(t, cfg)
+    if isinstance(found, NotApplicable):
+        return _not_applicable(found)
+    if not isinstance(found, tuple):
+        return _report(t, found, _verdicts(found, cfg), cfg)
+    sd, skipped = found
+    verdicts = zip(*_verdicts(sd, cfg)) if len(sd.lambdas) else iter(())
+    members = iter(range(len(sd.lambdas)))
+    return tuple(_report(t[b], sd.member(next(members)), next(verdicts), cfg)
+                 if na is None else _not_applicable(na)
+                 for b, na in enumerate(skipped))
 
-    verdicts = (
-        angle_test(sd, cfg),
-        grammian_test(sd, cfg),
-        parallelepiped_test(sd, cfg),
-        strong_angle_test(sd, cfg),
-    )
-    strong = verdicts[-1]
-    if strong.outcome is not Outcome.PASS:
+
+def _verdicts(sd: SpectralData, cfg: ToleranceConfig) -> tuple[Verdicts, ...]:
+    return (angle_test(sd, cfg), grammian_test(sd, cfg),
+            parallelepiped_test(sd, cfg), strong_angle_test(sd, cfg))
+
+
+def _not_applicable(na: NotApplicable) -> ClassificationReport:
+    return ClassificationReport(final=FinalVerdict.NOT_APPLICABLE,
+                                verdicts=_NOT_APPLICABLE_VERDICTS, not_applicable=na)
+
+
+def _report(t, sd: SpectralData, verdicts, cfg: ToleranceConfig) -> ClassificationReport:
+    """The report on one applicable matrix from its four verdicts; UECSM
+    comes with the verified certificate."""
+    if verdicts[-1].outcome is not Outcome.PASS:
         return ClassificationReport(
             final=FinalVerdict.NOT_UECSM,
             verdicts=verdicts,

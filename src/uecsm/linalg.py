@@ -71,90 +71,142 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a square complex matrix, rejecting empty or non-finite input."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = as_matrices(m)
+    if a.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("empty matrix")
+    return a
+
+
+def as_matrices(m) -> np.ndarray:
+    """Coerce to a square complex matrix or a (B, n, n) stack of them,
+    rejecting an empty matrix or non-finite input."""
+    a = _square(m)
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
 
-def complex_ldexp(z: np.ndarray, e: int) -> np.ndarray:
-    """z * 2**e, exact with signed zeros: ``np.ldexp`` on the interleaved parts."""
+def _square(m) -> np.ndarray:
+    """``m`` as complex128, checked to be one (n, n) matrix or a (B, n, n)
+    stack with n >= 1; finiteness is ``as_matrices``' check."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[-1] == 0:
+        raise ValueError("empty matrix")
+    return a
+
+
+def complex_ldexp(z: np.ndarray, e) -> np.ndarray:
+    """z * 2**e, exact with signed zeros: ``np.ldexp`` on the interleaved parts.
+    ``e`` broadcasts against the (..., 2 * z.shape[-1]) float view."""
     return np.ldexp(np.ascontiguousarray(z).view(np.float64), e).view(np.complex128)
 
 
-def power_of_two_rescale(m) -> tuple[np.ndarray, int]:
+def power_of_two_rescale(m) -> tuple[np.ndarray, int | np.ndarray]:
     """(2**-e m, e), e the least even exponent above every |Re m_ij| and
     |Im m_ij|, so no norm of the result overflows or underflows.  LAPACK's
     shifted QR takes square roots of entries: only a power of four scales
-    eigenpairs exactly."""
-    a = np.ascontiguousarray(as_matrix(m))
-    e = math.frexp(np.abs(a.view(np.float64)).max())[1]
-    e += e % 2
-    return complex_ldexp(a, -e), e
+    eigenpairs exactly.  For a (B, n, n) stack, e is an int array with one
+    exponent per matrix.  This is the eigen pipeline's one check of its
+    input (``as_matrices``); the result is C-contiguous."""
+    a = np.ascontiguousarray(as_matrices(m))
+    tops = np.abs(a.view(np.float64)).max(axis=(-2, -1)).reshape(-1).tolist()
+    e = [k + k % 2 for k in (math.frexp(top)[1] for top in tops)]
+    if a.ndim == 2:
+        return complex_ldexp(a, -e[0]), e[0]
+    e = np.array(e)
+    return complex_ldexp(a, -e[:, None, None]), e
+
+
+def frobenius_norm(a: np.ndarray) -> np.ndarray:
+    """||a||_F of each matrix of a C-contiguous (..., n, n) array, with the
+    arithmetic ``np.linalg.norm`` applies to one matrix: a BLAS dot of the
+    real parts plus one of the imaginary parts."""
+    parts = a.reshape(a.shape[:-2] + (-1,)).view(np.float64)
+    re, im = parts[..., 0::2], parts[..., 1::2]
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def _lapack(solver, m):
+    a = _square(m)
     try:
-        return solver(as_matrix(m))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has non-finite entries") from None
         raise EigenSolverError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
 def eigenvalues(m) -> np.ndarray:
-    """All eigenvalues with multiplicity, sorted ascending by (Re, Im)."""
-    lam = _lapack(np.linalg.eigvals, m)
-    return lam[lam.argsort(kind="stable")]
+    """All eigenvalues with multiplicity, sorted ascending by (Re, Im); for a
+    stack, one sorted row per matrix."""
+    return np.sort(_lapack(np.linalg.eigvals, m), kind="stable")
 
 
 def eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs from one LAPACK ``eig``, sorted as ``eigenvalues`` sorts them."""
+    """Eigenpairs from one LAPACK ``eig``, sorted as ``eigenvalues`` sorts them.
+    Column i of each eigenvector matrix belongs to eigenvalue i, and each
+    matrix is stored column by column (Fortran order)."""
     lam, vec = _lapack(np.linalg.eig, m)
     order = lam.argsort(kind="stable")
-    return lam[order], vec[:, order]
+    if lam.ndim == 1:
+        return lam[order], vec[:, order]
+    rows = np.arange(len(lam))[:, None]
+    return lam[rows, order], vec.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
 
 
 def unit_eigenvector(m, lam, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *,
-                     start) -> np.ndarray:
+                     start, scale=None) -> np.ndarray:
     """Unit eigenvectors of ``m`` for the (accurate) eigenvalues ``lam``:
     the columns of ``start``, normalized, each refined by inverse iteration
     from itself if it misses the residual target.  The shift is perturbed by
     1e-12 * ||m|| so the shifted system is ill-conditioned but not singular.
-    Raises EigenSolverError if a residual stays above zero_tol * ||m||.
+    ``m`` may be a (B, n, n) stack, with ``lam`` and ``start`` stacked alike;
+    ``scale`` is ||m||_F (one per matrix), computed here if not given.
+    Raises EigenSolverError if a residual stays above zero_tol * ||m||, for
+    the first matrix of a stack where one does.
     """
-    a = as_matrix(m)
+    a = _square(m)
+    if a.ndim == 2:
+        return unit_eigenvector(a[None], np.asarray(lam)[None], cfg,
+                                start=np.asarray(start)[None],
+                                scale=None if scale is None else np.reshape(scale, 1))[0]
+    lam = np.asarray(lam, dtype=np.complex128)
     x = np.asarray(start, dtype=np.complex128)
-    x = x / _column_norms(x)
-    scale = float(np.linalg.norm(a))
-    residual = _column_norms(a @ x - x * lam)
-    worst = residual.max()
-    # Every target is at least _REFINE_FACTOR * scale, so a worst residual
-    # within it spares building the targets; LAPACK's vectors nearly always are.
-    if not worst <= _REFINE_FACTOR * scale:
-        target = np.maximum(_REFINE_FACTOR * scale, 1e3 * np.abs(lam) * _EPS)
-        if not (residual <= target).all():
-            _refine(a, lam, x, residual, target, scale)
-            worst = residual.max()
-    bound = cfg.zero_tol * scale
-    if not worst <= bound:
-        i = int((residual <= bound).argmin())    # the first column that stalled
-        raise EigenSolverError(
-            f"inverse iteration stalled at residual {residual[i]:.3e} "
-            f"(bound {bound:.3e}) for eigenvalue {i + 1} of {len(a)}")
+    x = x / _column_norms(x)[:, None, :]
+    scale = (frobenius_norm(np.ascontiguousarray(a)) if scale is None
+             else np.asarray(scale, dtype=np.float64)).tolist()
+    residual = _column_norms(a @ x - x * lam[:, None, :])
+    worst = residual.max(axis=-1).tolist()
+    for b, (w, s) in enumerate(zip(worst, scale)):
+        # Every target is at least _REFINE_FACTOR * s, so a worst residual
+        # within it spares building the targets; LAPACK's vectors nearly always are.
+        if not w <= _REFINE_FACTOR * s:
+            target = np.maximum(_REFINE_FACTOR * s, 1e3 * np.abs(lam[b]) * _EPS)
+            if not (residual[b] <= target).all():
+                _refine(a[b], lam[b], x[b], residual[b], target, s)
+                worst[b] = residual[b].max()
+    for b, (w, s) in enumerate(zip(worst, scale)):
+        bound = cfg.zero_tol * s
+        if not w <= bound:
+            if not np.isfinite(a).all():
+                raise ValueError("matrix has non-finite entries")
+            i = int((residual[b] <= bound).argmin())    # the first column that stalled
+            raise EigenSolverError(
+                f"inverse iteration stalled at residual {residual[b, i]:.3e} "
+                f"(bound {bound:.3e}) for eigenvalue {i + 1} of {a.shape[-1]}")
     return x
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, axis=0)``, same arithmetic, without its dispatch."""
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=0))
+    """``np.linalg.norm(x, axis=-2)``, same arithmetic, without its dispatch."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-2))
 
 
 def _refine(a, lam, x, residual, target, scale) -> None:
     """Inverse iteration, in place on ``x`` and ``residual``, on each column
-    whose residual misses its target."""
+    of one matrix whose residual misses its target."""
     for i in np.flatnonzero(~(residual <= target)):
         perturb = 1e-12
         for _ in range(_MAX_INVERSE_STEPS):

@@ -20,6 +20,12 @@ inv(U)* (the left eigenvectors); a column is refined only where its
 residual misses a target near machine precision.  Each vector keeps the
 arbitrary unimodular phase it comes with; everything consumed downstream
 is phase-invariant or covariant in a controlled way, and tested for it.
+
+Each matrix's paired data depends on that matrix alone, so a (B, n, n)
+stack runs as one: one LAPACK call per step for the whole stack, array
+reductions per row, and per-row rules (the gap, the adjoint pairing, the
+e_i floor) that drop a NotApplicable member before the next step.  One
+matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .linalg import (
     complex_ldexp,
     eigensystem,
     eigenvalues,
+    frobenius_norm,
     power_of_two_rescale,
     unit_eigenvector,
 )
@@ -57,6 +64,8 @@ class NotApplicable:
     gap: float | None = None
 
 
+
+
 @dataclass(frozen=True)
 class SpectralData:
     """Sorted eigenvalues with paired unit eigenvector bases.
@@ -65,6 +74,9 @@ class SpectralData:
     u_basis -- shape (n, n), column i is u_i (right eigenvector of T)
     v_basis -- shape (n, n), column i is v_i (right eigenvector of T*)
     e_diag  -- shape (n,), e_i = <u_i, v_i>, all nonzero
+
+    The data of a stack of B matrices has a leading axis of length B on
+    every field; ``member(b)`` is the data of matrix b.
     """
 
     lambdas: np.ndarray
@@ -74,7 +86,12 @@ class SpectralData:
 
     @property
     def n(self) -> int:
-        return self.lambdas.shape[0]
+        return self.lambdas.shape[-1]
+
+    def member(self, b: int) -> "SpectralData":
+        """The data of matrix ``b`` of a stack, as views."""
+        return SpectralData(lambdas=self.lambdas[b], u_basis=self.u_basis[b],
+                            v_basis=self.v_basis[b], e_diag=self.e_diag[b])
 
     @classmethod
     def from_bases(cls, lambdas, u_basis, v_basis) -> "SpectralData":
@@ -95,14 +112,15 @@ class SpectralData:
     @functools.cached_property
     def _gram_pair(self) -> np.ndarray:
         bases = np.array((self.u_basis, self.v_basis))
-        pair = bases.conj().transpose(0, 2, 1) @ bases
+        pair = bases.conj().swapaxes(-1, -2) @ bases
         pair.flags.writeable = False
         return pair
 
 
 def gram_pair(sd: SpectralData) -> np.ndarray:
-    """(U* U, V* V) stacked as one (2, n, n) array, computed once per ``sd``
-    and read-only; entry (i, j) is <u_j, u_i> resp. <v_j, v_i>."""
+    """(U* U, V* V) stacked as one (2, n, n) array, or (2, B, n, n) for the
+    data of a stack, computed once per ``sd`` and read-only; entry (i, j)
+    is <u_j, u_i> resp. <v_j, v_i>."""
     return sd._gram_pair
 
 
@@ -126,46 +144,60 @@ def assert_distinct_spectrum(lambdas, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     nothing overflows, and reported multiplied back by 2**exponent.
     """
     lam = np.asarray(lambdas, dtype=np.complex128).ravel()
-    n = lam.shape[0]
-    if n < 2:
-        return None
-    threshold = cfg.eig_gap_tol * scale
-    i, j = pair_indices(n)
-    gaps = np.abs(lam[i] - lam[j])
-    k = int(gaps.argmin())    # first smallest gap in canonical order
-    if gaps[k] <= threshold:
-        pair = (int(i[k]) + 1, int(j[k]) + 1)
-        gap = float(np.ldexp(gaps[k], exponent))
-        return NotApplicable(
-            reason=f"repeated spectrum: gap {gap:.3e} at pair {pair} "
-                   f"is within tolerance {np.ldexp(threshold, exponent):.3e}",
-            pair=pair,
-            gap=gap,
-        )
-    return None
+    return _gap_rule(lam[None], np.array([cfg.eig_gap_tol * scale]), np.array([exponent]))[0]
 
 
-def _pair_adjoint(lam, mu, half_gap: float) -> tuple[np.ndarray, tuple[int, float] | None]:
+def _gap_rule(lam, threshold, exponent) -> list[NotApplicable | None]:
+    """``assert_distinct_spectrum`` on each row of ``lam`` (B, n), with one
+    threshold and one exponent per row."""
+    verdicts = [None] * len(lam)
+    if lam.shape[-1] < 2:
+        return verdicts
+    i, j = pair_indices(lam.shape[-1])
+    gaps = np.abs(lam.take(i, axis=-1) - lam.take(j, axis=-1))
+    close = gaps.min(axis=-1) <= threshold
+    if np.count_nonzero(close):
+        for b in np.flatnonzero(close).tolist():
+            k = int(gaps[b].argmin())    # first smallest gap in canonical order
+            pair = (int(i[k]) + 1, int(j[k]) + 1)
+            gap = float(np.ldexp(gaps[b, k], exponent[b]))
+            verdicts[b] = NotApplicable(
+                reason=f"repeated spectrum: gap {gap:.3e} at pair {pair} "
+                       f"is within tolerance {np.ldexp(threshold[b], exponent[b]):.3e}",
+                pair=pair,
+                gap=gap,
+            )
+    return verdicts
+
+
+def _pair_adjoint(lam, mu, half_gap) -> tuple[np.ndarray, list[tuple[int, float] | None]]:
     """Pair each conj(lambda_i) with its nearest adjoint eigenvalue
-    ``mu[matched[i]]``: ``(matched, None)``, or ``(matched, (i, offset))``
-    for the first i whose match lies past ``half_gap`` or was taken by an
-    earlier i.  With a certifiably separated spectrum the match sits at
-    distance ~eps * kappa * ||t||; a failure means the two runs disagree
-    about where the eigenvalues are."""
-    dist = np.abs(mu - np.conj(lam)[:, None])
-    matched = dist.argmin(axis=1)
-    taken = set()
-    for i, (k, row) in enumerate(zip(matched.tolist(), dist.tolist())):
-        if row[k] > half_gap or k in taken:
-            return matched, (i, row[k])
-        taken.add(k)
-    return matched, None
+    ``mu[matched[i]]``, row by row of (B, n) ``lam`` and ``mu`` with one
+    ``half_gap`` per row: ``(matched, failures)``, failures[b] being None or
+    ``(i, offset)`` for the first i of row b whose match lies past
+    half_gap[b] or was taken by an earlier i.  With a certifiably separated
+    spectrum the match sits at distance ~eps * kappa * ||t||; a failure
+    means the two runs disagree about where the eigenvalues are."""
+    dist = np.abs(mu[:, None, :] - np.conj(lam)[:, :, None])
+    matched = dist.argmin(axis=-1)
+    offset = dist.min(axis=-1)
+    far = (offset.max(axis=-1) > half_gap).tolist()
+    failures = [None] * len(lam)
+    for b, (row, beyond) in enumerate(zip(matched.tolist(), far)):
+        if beyond or len(set(row)) < len(row):
+            taken = set()
+            for i, (k, gap) in enumerate(zip(row, offset[b].tolist())):
+                if gap > half_gap[b] or k in taken:
+                    failures[b] = (i, gap)
+                    break
+                taken.add(k)
+    return matched, failures
 
 
 def compute_spectral_data(
     t,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> SpectralData | NotApplicable:
+) -> SpectralData | NotApplicable | tuple[SpectralData, tuple[NotApplicable | None, ...]]:
     """Compute the full paired eigensystem of ``t``, or NotApplicable.
 
     NotApplicable covers three situations: the sorted spectrum violates the
@@ -179,53 +211,112 @@ def compute_spectral_data(
     is done on ``power_of_two_rescale(t)``, reported in the units of ``t``;
     a spectrum beyond the float range in those units is a
     NumericalBreakdownError too.
+
+    For a (B, n, n) stack the result is a pair ``(data, skipped)``:
+    skipped[b] is the NotApplicable of matrix b or None, and ``data``
+    stacks, in order, the SpectralData of the matrices with None.  Each is
+    what ``t[b]`` alone gives, bit for bit, and the stack raises if any
+    matrix alone would.  One matrix runs as a stack of one.
     """
     a, exponent = power_of_two_rescale(t)
-    scale = float(np.linalg.norm(a))
-    lam, u = eigensystem(a)
-    verdict = assert_distinct_spectrum(lam, cfg, scale=scale, exponent=exponent)
-    if verdict is not None:
-        return verdict
+    if a.ndim == 2:
+        data, (skipped,) = _paired_eigensystems(a[None], np.array([exponent]), cfg)
+        return skipped or data.member(0)
+    return _paired_eigensystems(a, exponent, cfg)
 
-    a_star = a.conj().T
+
+def _paired_eigensystems(a, exponent, cfg: ToleranceConfig
+                         ) -> tuple[SpectralData, tuple[NotApplicable | None, ...]]:
+    """``compute_spectral_data`` on the rescaled (B, n, n) stack ``a``.
+
+    Members found NotApplicable drop out as soon as they are, so every later
+    step sees only what the matrix alone would reach: the stacked ``inv``
+    in particular raises if any of its members is singular.
+    """
+    skipped = [None] * len(a)
+    rows = range(len(a))    # the members still in play
+
+    def drop(found, *arrays):
+        """Record the NotApplicable members of ``found`` (one entry per row in
+        play), and return ``arrays`` without their rows."""
+        nonlocal rows
+        for b, f in zip(rows, found):
+            skipped[b] = f
+        rows = [b for b, f in zip(rows, found) if f is None]
+        keep = np.array([f is None for f in found], dtype=bool)
+        return [x[keep] for x in arrays]
+
+    scale = frobenius_norm(a)
+    lam, u = eigensystem(a)
+    found = _gap_rule(lam, cfg.eig_gap_tol * scale, exponent)
+    if any(found):
+        a, lam, u, scale, exponent = drop(found, a, lam, u, scale, exponent)
+    if not len(rows):
+        return _no_data(a.shape[-1]), tuple(skipped)
+
+    a_star = a.conj().swapaxes(-1, -2)
     mu = eigenvalues(a_star)
     matched, unpaired = _pair_adjoint(lam, mu, 0.5 * cfg.eig_gap_tol * scale)
-    if unpaired is not None:
-        i, offset = unpaired
-        return NotApplicable(
+    if any(unpaired):
+        found = [None if f is None else NotApplicable(
             reason="adjoint spectrum does not pair with conjugated eigenvalues "
-                   f"(offset {np.ldexp(offset, exponent):.3e} at index {i + 1}); "
+                   f"(offset {np.ldexp(f[1], e):.3e} at index {f[0] + 1}); "
                    "spectrum effectively degenerate at working precision",
-        )
+        ) for f, e in zip(unpaired, exponent.tolist())]
+        a, a_star, lam, u, scale, exponent, mu, matched = drop(
+            found, a, a_star, lam, u, scale, exponent, mu, matched)
+    if not len(rows):
+        return _no_data(a.shape[-1]), tuple(skipped)
 
     try:
-        left = np.linalg.inv(u).conj().T
+        left = np.linalg.inv(u).conj().swapaxes(-1, -2)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdownError(f"eigenvector matrix is singular: {exc}") from exc
-    u = unit_eigenvector(a, lam, cfg, start=u)
-    v = unit_eigenvector(a_star, mu[matched], cfg, start=left)
+    u = unit_eigenvector(a, lam, cfg, start=u, scale=scale)
+    v = unit_eigenvector(a_star, mu[np.arange(len(mu))[:, None], matched], cfg,
+                         start=left, scale=scale)
 
-    e = v.conj().T @ u
-    modulus = np.abs(e)
-    min_diag = float(modulus.diagonal().min())
-    if min_diag <= cfg.zero_tol:
-        return NotApplicable(
-            reason=f"effectively degenerate spectrum: min |<u_i, v_i>| = "
-                   f"{min_diag:.3e} (eigenvalue condition beyond working "
-                   "precision)",
-        )
-    modulus.flat[::len(e) + 1] = 0.0    # keep |<u_i, v_j>| for i != j only
-    max_off = float(modulus.max())
-    if max_off > cfg.zero_tol:
-        raise NumericalBreakdownError(
-            f"biorthogonality violated: max |<u_i, v_j>| = {max_off:.3e} "
-            f"for i != j exceeds zero_tol = {cfg.zero_tol:.3e}")
-    top = float(np.abs(lam.view(np.float64)).max())    # largest |Re|, |Im|
-    try:
-        math.ldexp(top, exponent)    # raises where np.ldexp would give inf
-    except OverflowError:
-        raise NumericalBreakdownError(
-            f"spectrum beyond the float range: largest eigenvalue part "
-            f"{top:.3e} * 2**{exponent} overflows in the units of T") from None
-    return SpectralData(lambdas=complex_ldexp(lam, exponent), u_basis=u, v_basis=v,
-                        e_diag=e.diagonal().copy())
+    e = v.conj().swapaxes(-1, -2) @ u
+    n = e.shape[-1]
+    modulus = np.abs(e).reshape(len(e), n * n)    # row b holds |<u_i, v_j>| of member b
+    diagonal = slice(None, None, n + 1)
+    low = modulus[:, diagonal] <= cfg.zero_tol
+    modulus[:, diagonal] = 0.0    # keep |<u_i, v_j>| for i != j only
+    high = modulus > cfg.zero_tol
+    exponents = exponent.tolist()
+    # Rescaled entries have both parts below 1, so every eigenvalue part is
+    # below 2n; only a larger exponent can carry one beyond the float range.
+    far = max(exponents) + n.bit_length() + 1 > 1024
+    found = [None] * len(e)
+    if np.count_nonzero(low) or np.count_nonzero(high) or far:
+        tops = np.abs(lam.view(np.float64)).max(axis=-1).tolist()    # largest |Re|, |Im|
+        for b, (k, top) in enumerate(zip(exponents, tops)):
+            if low[b].any():
+                found[b] = NotApplicable(
+                    reason=f"effectively degenerate spectrum: min |<u_i, v_i>| = "
+                           f"{np.abs(e[b].diagonal()).min():.3e} (eigenvalue condition "
+                           "beyond working precision)",
+                )
+            elif high[b].any():
+                raise NumericalBreakdownError(
+                    f"biorthogonality violated: max |<u_i, v_j>| = {modulus[b].max():.3e} "
+                    f"for i != j exceeds zero_tol = {cfg.zero_tol:.3e}")
+            else:
+                try:
+                    math.ldexp(top, k)    # raises where np.ldexp would give inf
+                except OverflowError:
+                    raise NumericalBreakdownError(
+                        f"spectrum beyond the float range: largest eigenvalue part "
+                        f"{top:.3e} * 2**{k} overflows in the units of T") from None
+    if any(found):
+        lam, u, v, e, exponent = drop(found, lam, u, v, e, exponent)
+    data = SpectralData(lambdas=complex_ldexp(lam, exponent[:, None]), u_basis=u, v_basis=v,
+                        e_diag=e.reshape(len(e), n * n)[:, diagonal].copy())
+    return data, tuple(skipped)
+
+
+def _no_data(n: int) -> SpectralData:
+    """The SpectralData of an empty stack of n x n matrices."""
+    empty = np.empty((0, n, n), dtype=np.complex128)
+    return SpectralData(lambdas=empty[:, 0], u_basis=empty, v_basis=empty,
+                        e_diag=empty[:, 0])

@@ -276,16 +276,25 @@ class TestFixtures:
         assert info.value.code == EXIT_BAD_INPUT
 
 
+def packages_loaded_by_cli(package):
+    """Modules of ``package`` that ``import uecsm.cli`` loads, in a fresh
+    interpreter, so that modules imported by other tests do not count."""
+    src = str(Path(uecsm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, uecsm.cli; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip()
+
+
 class TestImport:
     def test_cli_loads_no_scipy(self):
-        # A fresh interpreter, so modules imported by other tests do not count.
-        src = str(Path(uecsm.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        code = ("import sys, uecsm.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert packages_loaded_by_cli("scipy") == "[]"
+
+    def test_cli_loads_no_process_pool(self):
+        # run_search imports the pool only when it splits a scan.
+        assert packages_loaded_by_cli("multiprocessing") == "[]"
 
 
 class TestParser:

@@ -7,16 +7,19 @@ transposition and scaling too, and T (+) 0_1 = (U (+) 1)(S (+) 0_1)(U (+) 1)*
 keeps it as well.  Every complex symmetric matrix is
 trivially UECSM, so ``classify`` must certify it.  The memory layout of T
 is no part of the input: C order, Fortran order and a strided view give
-the same report, bit for bit.  Matrices are
-drawn from seed integers, and hypothesis runs derandomized, so every run
-checks the same examples.
+the same report, bit for bit.  A (B, n, n) stack gives, report for
+report, what each of its matrices gives alone, in any order of the stack.
+Matrices are drawn from seed integers, and hypothesis runs derandomized, so
+every run checks the same examples.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uecsm.criteria import FinalVerdict, classify
+from uecsm.linalg import LinearAlgebraError
 from uecsm.oracle import random_unitary
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -85,3 +88,41 @@ def test_report_ignores_memory_layout(seed, n, symmetric_core):
     expected = report_bits(classify(t))
     for variant in (np.asfortranarray(t), big[::2, ::2], np.asfortranarray(big)[::2, ::2]):
         assert report_bits(classify(variant)) == expected
+
+
+def stack_member(seed, n, kind):
+    """Ginibre, constructed UECSM, or a normal matrix with a doubled
+    eigenvalue (NotApplicable; Ginibre at n = 1)."""
+    if kind != "doubled" or n == 1:
+        return drawn_matrix(seed, n, symmetric_core=kind == "uecsm")
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    d[1] = d[0]
+    q = random_unitary(n, rng)
+    return (q * d) @ q.conj().T
+
+
+def outcome(t):
+    """The report's bits, or the class of the error ``classify`` raises."""
+    try:
+        return report_bits(classify(t))
+    except LinearAlgebraError as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(n=st.integers(min_value=1, max_value=6),
+       members=st.lists(st.tuples(SEEDS, st.sampled_from(("ginibre", "uecsm", "doubled"))),
+                        min_size=1, max_size=8),
+       order_seed=SEEDS)
+def test_stack_matches_single_calls(n, members, order_seed):
+    stack = np.array([stack_member(seed, n, kind) for seed, kind in members])
+    singles = [outcome(t) for t in stack]
+    errors = tuple({s for s in singles if isinstance(s, type)})
+    order = np.random.default_rng(order_seed).permutation(len(stack))
+    for perm in (np.arange(len(stack)), order):
+        if errors:
+            with pytest.raises(errors):
+                classify(stack[perm])
+        else:
+            assert [report_bits(r) for r in classify(stack[perm])] == [singles[k] for k in perm]

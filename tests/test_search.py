@@ -5,16 +5,21 @@ results are reproducible and independent of how the index range is split
 across workers; hit lists come back ordered by candidate index.
 """
 
+import concurrent.futures
+import hashlib
+
 import numpy as np
 import pytest
 
-import uecsm.search
 from uecsm.criteria import FinalVerdict, classify
 from uecsm.fixtures import find_fixture
+from uecsm.linalg import EigenSolverError
 from uecsm.search import SearchResult, _is_hit, candidate_matrix, run_search
 
 COUNTEREXAMPLE = find_fixture("strong-angle-counterexample").matrix()
 CLOSED_FORM = find_fixture("closed-form-s").matrix()
+# The eigensystem of this candidate stalls in inverse iteration.
+BREAKDOWN = candidate_matrix(0, 3006, 3, -9, 9)
 
 
 class TestCandidateMatrix:
@@ -30,6 +35,18 @@ class TestCandidateMatrix:
             assert np.all(m.imag == 0)
             assert np.all(m.real == np.round(m.real))
             assert m.real.min() >= -9 and m.real.max() <= 9
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "86210c68a0d8fd403d2c66cf96805b97c45e9f1730dba4ec5fa0f625d116f439"),
+        (7, "c56da689f6b1bbbe98027a4006ff7a4f9155eb04a47831b28802729810bd9ee8"),
+    ])
+    def test_stream_is_pinned(self, seed, digest):
+        # sha256 of the bytes of candidates 0-999, one Philox(key=(seed, i))
+        # per candidate; a stack of the range gives the same bytes.
+        stack = candidate_matrix(seed, range(1000), 3, -9, 9)
+        assert stack.shape == (1000, 3, 3)
+        assert hashlib.sha256(stack.tobytes()).hexdigest() == digest
+        assert np.array_equal(stack[123], candidate_matrix(seed, 123, 3, -9, 9))
 
     def test_streams_differ_across_indices_and_seeds(self):
         base = candidate_matrix(0, 0, 4, -9, 9)
@@ -100,7 +117,7 @@ class TestRunSearch:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(uecsm.search, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         result = run_search(3, seed=2, workers=64)
         assert asked and max(asked) <= 3
         assert result == run_search(3, seed=2, workers=1)
@@ -125,19 +142,23 @@ class TestRunSearch:
                             workers=2)
         assert [h.index for h in result.hits][:1] == [0]
 
-    def test_numerical_failure_counted_as_breakdown(self, monkeypatch):
-        classify = uecsm.search.classify
-
-        def breaks_on_second(m, cfg, seed):
-            if seed == 1:
-                raise uecsm.search.LinearAlgebraError("planted")
-            return classify(m, cfg)
-
-        monkeypatch.setattr(uecsm.search, "classify", breaks_on_second)
-        result = run_search(3, inject=(COUNTEREXAMPLE, COUNTEREXAMPLE, CLOSED_FORM))
+    def test_numerical_failure_counted_as_breakdown(self):
+        # The planted candidate raises in a stack with CLOSED_FORM, so that
+        # block is decided again one candidate at a time.
+        result = run_search(3, inject=(COUNTEREXAMPLE, BREAKDOWN, CLOSED_FORM))
         assert result.breakdown == 1
         assert (result.not_uecsm, result.uecsm) == (1, 1)
         assert [h.index for h in result.hits] == [0]
+
+    def test_a_stack_raises_as_its_member_does(self):
+        with pytest.raises(EigenSolverError) as alone:
+            classify(BREAKDOWN)
+        stack = candidate_matrix(0, range(2990, 3010), 3, -9, 9)
+        with pytest.raises(EigenSolverError) as stacked:
+            classify(stack)
+        assert str(stacked.value) == str(alone.value)
+        reports = classify(np.delete(stack, 16, axis=0))
+        assert len(reports) == 19
 
     def test_empty_search(self):
         result = run_search(0)

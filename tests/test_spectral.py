@@ -39,12 +39,13 @@ def closed_form_data():
 
 def spy_unit_eigenvector(monkeypatch, v_side=lambda x: x):
     """Wrap spectral's unit_eigenvector: the returned list collects (m, lam)
-    per call, and ``v_side`` maps the result of the second (v side) call."""
+    per call, and ``v_side`` maps the result of the second (v side) call.
+    One matrix runs as a stack of one, so each m is (1, n, n)."""
     calls = []
 
-    def spy(m, lam, cfg=DEFAULT_TOLERANCES, *, start):
+    def spy(m, lam, cfg=DEFAULT_TOLERANCES, *, start, scale):
         calls.append((np.array(m), np.array(lam)))
-        x = unit_eigenvector(m, lam, cfg, start=start)
+        x = unit_eigenvector(m, lam, cfg, start=start, scale=scale)
         return v_side(x) if len(calls) == 2 else x
 
     monkeypatch.setattr(spectral, "unit_eigenvector", spy)
@@ -111,8 +112,8 @@ class TestComputeSpectralData:
         a = power_of_two_rescale(t)[0]
         assert len(calls) == 2
         (m_u, lam_u), (m_v, lam_v) = calls
-        assert np.array_equal(m_u, a)
-        assert np.array_equal(m_v, a.conj().T)
+        assert np.array_equal(m_u, a[None])
+        assert np.array_equal(m_v, a.conj().T[None])
         half_gap = 0.5 * DEFAULT_TOLERANCES.eig_gap_tol * np.linalg.norm(a)
         assert np.abs(lam_v - lam_u.conj()).max() <= half_gap
 
@@ -120,8 +121,8 @@ class TestComputeSpectralData:
         # A v basis off biorthogonality is a solver failure, not a verdict.
         def shear(x):
             x = x.copy()
-            x[:, 1] += 1e-3 * x[:, 0]
-            return x / np.linalg.norm(x, axis=0)
+            x[..., 1] += 1e-3 * x[..., 0]
+            return x / np.linalg.norm(x, axis=-2, keepdims=True)
 
         spy_unit_eigenvector(monkeypatch, v_side=shear)
         with pytest.raises(NumericalBreakdownError, match="biorthogonality violated"):
@@ -199,12 +200,17 @@ class TestPairAdjoint:
             mu[int(rng.integers(n))] += 10 * self.HALF_GAP * (1 + 1j)
         return lam, rng.permutation(mu)
 
+    def pair(self, lam, mu):
+        """``_pair_adjoint`` on a stack of one: (matched, failure)."""
+        matched, failures = _pair_adjoint(lam[None], mu[None], np.array([self.HALF_GAP]))
+        return matched[0], failures[0]
+
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(15)
         reasons = {"taken": 0, "offset": 0}
         for _ in range(400):
             lam, mu = self.planted(rng)
-            matched, failure = _pair_adjoint(lam, mu, self.HALF_GAP)
+            matched, failure = self.pair(lam, mu)
             expected_matched, expected_failure = reference_pairing(lam, mu, self.HALF_GAP)
             assert matched.tolist() == expected_matched
             assert failure == expected_failure
@@ -217,9 +223,36 @@ class TestPairAdjoint:
     def test_taken_reported_before_a_later_offset_failure(self):
         lam = np.array([0.0, 1.0, 1.0 + 1e-9, 5.0])
         mu = np.array([0.0, 1.0, 3.0, 5.0 + 1e-3])    # 5 is off by 1e-3 > HALF_GAP
-        matched, failure = _pair_adjoint(lam, mu, self.HALF_GAP)
+        matched, failure = self.pair(lam, mu)
         assert failure == (2, float(np.abs(mu[1] - np.conj(lam[2]))))
         assert matched.tolist() == [0, 1, 1, 3]
+
+
+class TestStack:
+    @pytest.mark.parametrize("members, cfg", [
+        # repeated spectrum, adjoint pairing failure, applicable
+        ([np.diag([1.0, 1.0, 2.0]), candidate_matrix(0, 550, 3, -9, 9),
+          family_member(-5), candidate_matrix(0, 7, 3, -9, 9)], DEFAULT_TOLERANCES),
+        # repeated spectrum, applicable, collapsed min |<u_i, v_i>|, applicable
+        ([np.diag([1.0, 1.0, 2.0, 3.0, 4.0]), np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + 0.5j,
+          np.diag([0.0, 0.01, 0.02, 0.03, 0.04]) + np.diag(np.ones(4), 1),
+          np.triu(np.arange(25.0).reshape(5, 5))],
+         ToleranceConfig(eig_gap_tol=1e-3, zero_tol=1e-7, match_tol=1e-7)),
+    ], ids=["gap-pairing", "gap-floor"])
+    def test_each_member_as_alone(self, members, cfg):
+        # Members drop out at different steps; each result stays on its own.
+        data, skipped = compute_spectral_data(np.array(members), cfg)
+        alone = [compute_spectral_data(t, cfg) for t in members]
+        assert [isinstance(s, NotApplicable) for s in skipped] == [
+            isinstance(s, NotApplicable) for s in alone]
+        applicable = [s for s in alone if isinstance(s, SpectralData)]
+        assert len(data.lambdas) == len(applicable) >= 1
+        for b, sd in enumerate(applicable):
+            member = data.member(b)
+            for field in ("lambdas", "u_basis", "v_basis", "e_diag"):
+                assert getattr(member, field).tobytes() == getattr(sd, field).tobytes()
+        assert [s for s in skipped if s is not None] == [
+            s for s in alone if isinstance(s, NotApplicable)]
 
 
 class TestNotApplicable:
