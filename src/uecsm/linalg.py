@@ -115,7 +115,7 @@ def power_of_two_rescale(m) -> tuple[np.ndarray, int | np.ndarray]:
     e = [k + k % 2 for k in (math.frexp(top)[1] for top in tops)]
     if a.ndim == 2:
         return complex_ldexp(a, -e[0]), e[0]
-    e = np.array(e)
+    e = np.array(e, dtype=int)
     return complex_ldexp(a, -e[:, None, None]), e
 
 
@@ -123,7 +123,7 @@ def frobenius_norm(a: np.ndarray) -> np.ndarray:
     """||a||_F of each matrix of a C-contiguous (..., n, n) array, with the
     arithmetic ``np.linalg.norm`` applies to one matrix: a BLAS dot of the
     real parts plus one of the imaginary parts."""
-    parts = a.reshape(a.shape[:-2] + (-1,)).view(np.float64)
+    parts = a.reshape(a.shape[:-2] + (a.shape[-1] ** 2,)).view(np.float64)
     re, im = parts[..., 0::2], parts[..., 1::2]
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 

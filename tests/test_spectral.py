@@ -255,6 +255,12 @@ class TestStack:
             s for s in alone if isinstance(s, NotApplicable)]
 
 
+    def test_empty_stack(self):
+        data, skipped = compute_spectral_data(np.zeros((0, 3, 3)))
+        assert skipped == () and data.u_basis.shape == (0, 3, 3)
+        assert classify(np.zeros((0, 3, 3))) == ()
+
+
 class TestNotApplicable:
     def test_tiny_gap(self):
         verdict = compute_spectral_data(np.diag([1.0, 1.0 + 1e-12, 2.0]))
