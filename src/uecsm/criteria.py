@@ -138,40 +138,27 @@ def _decide(kind: str, labels, left, right, limit) -> Verdicts:
 
 
 @functools.cache
-def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only index arrays (i, j, k) of the triples i <= j <= k, not all
-    equal, in lexicographic order."""
-    i, j, k = np.indices((n, n, n))
-    i, j, k = np.nonzero((i <= j) & (j <= k) & (i < k))
-    i.flags.writeable = j.flags.writeable = k.flags.writeable = False
-    return i, j, k
-
-
-@functools.cache
-def _labels(n: int, arity: int) -> tuple[tuple[int, ...], ...]:
-    """The 1-based witness indices of each comparison a test makes at size n,
-    in canonical order: nothing (one comparison), single indices, pairs
-    i < j, or triples i <= j <= k not all equal."""
+def _comparisons(n: int, arity: int) -> tuple[tuple[tuple[int, ...], ...], tuple[np.ndarray, ...]]:
+    """The comparisons a test makes at size n, in canonical order:
+    ``(labels, flat)``.  ``labels`` holds their 1-based witness indices:
+    nothing (one comparison), single indices, pairs i < j, or triples
+    i <= j <= k not all equal.  ``flat`` holds read-only flat positions in
+    an n x n matrix: (i, j) of the pairs, or the three factors (j, i),
+    (k, j), (i, k) of the triples."""
     if arity == 0:
-        return ((),)
-    indices = ((np.arange(n),), pair_indices(n), _triple_indices(n))[arity - 1]
-    return tuple(zip(*[(a + 1).tolist() for a in indices]))
-
-
-@functools.cache
-def _flat(n: int, arity: int) -> tuple[np.ndarray, ...]:
-    """Read-only flat positions in an n x n matrix: (i, j) of the pairs i < j
-    (arity 2), or the three factors (j, i), (k, j), (i, k) of the triples
-    (arity 3), each in canonical order."""
-    if arity == 2:
-        i, j = pair_indices(n)
+        return ((),), ()
+    if arity == 1:
+        indices, flat = (np.arange(n),), ()
+    elif arity == 2:
+        i, j = indices = pair_indices(n)
         flat = (i * n + j,)
     else:
-        i, j, k = _triple_indices(n)
+        i, j, k = np.indices((n, n, n))
+        i, j, k = indices = np.nonzero((i <= j) & (j <= k) & (i < k))
         flat = (j * n + i, k * n + j, i * n + k)
     for f in flat:
         f.flags.writeable = False
-    return flat
+    return tuple(zip(*[(a + 1).tolist() for a in indices])), flat
 
 
 def _entries(grams: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -183,8 +170,9 @@ def _entries(grams: np.ndarray, flat: np.ndarray) -> np.ndarray:
 def angle_test(sd: SpectralData,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Verdicts:
     """Compare |<u_i, u_j>| against |<v_i, v_j>| over all pairs i < j."""
-    moduli = np.abs(_entries(gram_pair(sd), *_flat(sd.n, 2)))
-    return _decide("Angle", _labels(sd.n, 2), moduli[0], moduli[1], cfg.match_tol)
+    labels, (ij,) = _comparisons(sd.n, 2)
+    moduli = np.abs(_entries(gram_pair(sd), ij))
+    return _decide("Angle", labels, moduli[0], moduli[1], cfg.match_tol)
 
 
 def grammian_test(sd: SpectralData,
@@ -197,7 +185,7 @@ def grammian_test(sd: SpectralData,
     """
     grams = gram_pair(sd)
     spec_u, spec_v = np.linalg.eigvalsh(grams)[..., ::-1]
-    return _decide("Grammian", _labels(sd.n, 1), spec_u, spec_v,
+    return _decide("Grammian", _comparisons(sd.n, 1)[0], spec_u, spec_v,
                    cfg.match_tol * frobenius_norm(grams[0]))
 
 
@@ -206,7 +194,8 @@ def parallelepiped_test(sd: SpectralData,
     """Compare |det U| with |det V| (unit columns, so both lie in (0, 1])."""
     det = np.linalg.det(np.array((sd.u_basis, sd.v_basis)))
     volume = np.hypot(det.real, det.imag)[..., None]    # as abs(complex); np.abs may differ
-    return _decide("Parallelepiped", _labels(sd.n, 0), volume[0], volume[1], cfg.match_tol)
+    return _decide("Parallelepiped", _comparisons(sd.n, 0)[0], volume[0], volume[1],
+                   cfg.match_tol)
 
 
 def strong_angle_test(sd: SpectralData,
@@ -219,9 +208,9 @@ def strong_angle_test(sd: SpectralData,
     so the canonical orientation loses nothing.
     """
     grams = gram_pair(sd)    # grams[:, j, i] = <u_i, u_j>, <v_i, v_j>
-    ji, kj, ik = _flat(sd.n, 3)
+    labels, (ji, kj, ik) = _comparisons(sd.n, 3)
     left, right = _entries(grams, ji) * _entries(grams, kj) * _entries(grams, ik)
-    return _decide("StrongAngle", _labels(sd.n, 3), left, np.conj(right), cfg.match_tol)
+    return _decide("StrongAngle", labels, left, np.conj(right), cfg.match_tol)
 
 
 _NOT_APPLICABLE_VERDICTS = tuple(TestVerdict(kind, Outcome.NOT_APPLICABLE)

@@ -227,7 +227,7 @@ def brute_force_uecsm(
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    a = power_of_two_rescale(t)[0]    # rounds as t would; norms stay finite
+    a = power_of_two_rescale(as_matrix(t))[0]    # rounds as t would; norms stay finite
     n = a.shape[0]
     if n == 1 or not a.any():
         return OracleVerdict(OracleOutcome.UECSM, 0.0, 0)

@@ -8,12 +8,12 @@ by ``(seed, i)``, so the stream of candidates is reproducible and identical
 no matter how the index range is split across workers.  Hit lists are
 canonicalized by candidate index.
 
-Candidates are decided in blocks, one stacked ``classify`` call per block.
-Candidates whose spectrum is repeated at working precision are skipped
-(counted as not applicable); the rare candidate that triggers a numerical
-breakdown inside the eigensystem is counted and skipped rather than
-aborting a long search: a block that raises is decided again one candidate
-at a time.
+Candidates are decided in blocks, one stacked ``classify`` call per block;
+a planted candidate is a block of one.  Candidates whose spectrum is
+repeated at working precision are skipped (counted as not applicable); the
+rare candidate that triggers a numerical breakdown inside the eigensystem
+is counted and skipped rather than aborting a long search: a block that
+raises is decided again in halves, down to the candidates that raise.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .linalg import DEFAULT_TOLERANCES, LinearAlgebraError, ToleranceConfig
 
 # A block holds at most this many matrix entries (113 candidates at n = 3).
 # Larger blocks spread the fixed cost of a stacked call over more candidates,
-# but a block that raises is decided again one candidate at a time.
+# but a block that raises is decided again in halves, at about twice its work.
 _BLOCK_ENTRIES = 1024
 
 
@@ -80,38 +80,33 @@ def _is_hit(report) -> bool:
             and by_kind["StrongAngle"] is Outcome.FAIL)
 
 
-def _blocks(indices: range, size: int, inject: tuple[np.ndarray, ...]):
-    """Consecutive parts of ``indices`` of at most ``size`` candidates.  The
-    injected candidates come in parts of their own, each of one shape."""
-    start = indices.start
-    while start < indices.stop:
-        stop = min(indices.stop, start + size)
-        if start < len(inject):
-            shape = inject[start].shape
-            stop = next((k for k in range(start + 1, min(stop, len(inject)))
-                         if inject[k].shape != shape), min(stop, len(inject)))
-        yield range(start, stop)
-        start = stop
+def _reports(stack: np.ndarray, start: int, cfg: ToleranceConfig) -> list:
+    """The reports on a stack of candidates numbered from ``start``, None
+    for each candidate that raises.  A stack that raises is decided again
+    in halves, down to stacks of one."""
+    try:
+        return list(classify(stack, cfg, seed=start))
+    except LinearAlgebraError:
+        if len(stack) == 1:
+            return [None]
+        half = len(stack) // 2
+        return _reports(stack[:half], start, cfg) + _reports(stack[half:], start + half, cfg)
 
 
 def _scan_range(indices: range, *, seed, dim, entry_low, entry_high,
                 cfg, inject) -> SearchResult:
     result = SearchResult(candidates=len(indices))
-    for block in _blocks(indices, max(1, _BLOCK_ENTRIES // (dim * dim)), inject):
+    planted = range(indices.start, min(indices.stop, len(inject)))
+    stream = range(max(indices.start, len(inject)), indices.stop)
+    size = max(1, _BLOCK_ENTRIES // (dim * dim))
+    blocks = [range(index, index + 1) for index in planted]
+    blocks += [stream[k:k + size] for k in range(0, len(stream), size)]
+    for block in blocks:
         if block.start < len(inject):
-            stack = np.array([inject[index] for index in block])
+            stack = inject[block.start][None]
         else:
             stack = candidate_matrix(seed, block, dim, entry_low, entry_high)
-        try:
-            reports = classify(stack, cfg, seed=block.start)
-        except LinearAlgebraError:
-            reports = []
-            for index, m in zip(block, stack):    # find the candidates that raise
-                try:
-                    reports.append(classify(m, cfg, seed=index))
-                except LinearAlgebraError:
-                    reports.append(None)
-        for index, m, report in zip(block, stack, reports):
+        for index, m, report in zip(block, stack, _reports(stack, block.start, cfg)):
             if report is None:
                 result.breakdown += 1
             elif report.final is FinalVerdict.NOT_APPLICABLE:
@@ -145,9 +140,10 @@ def run_search(
     ``workers`` nonempty parts; a single part runs in this process, several
     on at most one process per part and per CPU.  Each part is decided in
     blocks of at most ``_BLOCK_ENTRIES`` matrix entries, one stacked
-    ``classify`` per block, and a block that raises is decided again one
-    candidate at a time, so the counts equal those of one call per
-    candidate.
+    ``classify`` per block, and a block that raises is decided again in
+    halves down to stacks of one, so the counts equal those of one call per
+    candidate.  Planted candidates are blocks of one.  ``seed`` keys the
+    Philox stream, whose key words are 64 bits wide.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -155,8 +151,8 @@ def run_search(
         raise ValueError("dim must be positive")
     if entry_low > entry_high:
         raise ValueError("entry range is empty")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be nonnegative and below 2**64")
     inject = tuple(np.asarray(m, dtype=np.complex128) for m in inject)
 
     scan = functools.partial(_scan_range, seed=seed, dim=dim, entry_low=entry_low,

@@ -181,16 +181,13 @@ def _pair_adjoint(lam, mu, half_gap) -> tuple[np.ndarray, list[tuple[int, float]
     dist = np.abs(mu[:, None, :] - np.conj(lam)[:, :, None])
     matched = dist.argmin(axis=-1)
     offset = dist.min(axis=-1)
-    far = (offset.max(axis=-1) > half_gap).tolist()
+    first = (matched[:, :, None] == matched[:, None, :]).argmax(axis=-1)
+    taken = first < np.arange(lam.shape[-1])    # an earlier i has the same match
+    failed = (offset > half_gap[:, None]) | taken
     failures = [None] * len(lam)
-    for b, (row, beyond) in enumerate(zip(matched.tolist(), far)):
-        if beyond or len(set(row)) < len(row):
-            taken = set()
-            for i, (k, gap) in enumerate(zip(row, offset[b].tolist())):
-                if gap > half_gap[b] or k in taken:
-                    failures[b] = (i, gap)
-                    break
-                taken.add(k)
+    for b in np.flatnonzero(failed.any(axis=-1)).tolist():
+        i = int(failed[b].argmax())
+        failures[b] = (i, float(offset[b, i]))
     return matched, failures
 
 

@@ -15,6 +15,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import uecsm.search
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -43,6 +45,24 @@ def test_classify_requests_pass_the_benchmark_checks(monkeypatch):
         p = workloads.run_pass(workloads.ClassifyMixed(seed), ops=30)
         assert (p.attempted, p.ops) == (30, 30)
         assert (p.failed, p.incorrect) == (0, 0), p.notes
+
+
+def test_search3_counts_a_planted_breakdown(monkeypatch):
+    # perfbench's own check of breakdown counting plants a classify that
+    # raises on seed 0: the search must pass each block's first index as the
+    # seed, and a block that raises must still count exactly that candidate.
+    workloads = load(monkeypatch, "workloads")
+    classify = uecsm.search.classify
+
+    def breaks_on_first(m, cfg, seed):
+        if seed == 0:
+            raise uecsm.NumericalBreakdownError("planted")
+        return classify(m, cfg, seed=seed)
+
+    monkeypatch.setattr(uecsm.search, "classify", breaks_on_first)
+    p = workloads.run_pass(workloads.Search3(seed=1), ops=1)
+    assert p.counts["breakdown"] == 1
+    assert p.failed == 0, p.notes
 
 
 def works_on(workload):

@@ -238,6 +238,12 @@ class TestSearch:
         assert code == EXIT_BAD_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_seed_past_the_stream_key_is_bad_input(self, tmp_path, capsys):
+        code = main(["search", "--count", "1", "--seed", str(2**64),
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_BAD_INPUT
+        assert "seed" in capsys.readouterr().err
+
     def test_unknown_inject_label(self, tmp_path, capsys):
         code = main(["search", "--count", "1", "--inject", "/missing.json",
                      "--out-dir", str(tmp_path)])

@@ -27,6 +27,7 @@ from uecsm.conjugation import (
 from uecsm.criteria import FinalVerdict, classify
 from uecsm.fixtures import CLOSED_FORM_S, CLOSED_FORM_VECTORS, find_fixture
 from uecsm.linalg import LinearAlgebraError, ToleranceConfig
+from uecsm.oracle import brute_force_uecsm, tener_applicable
 from uecsm.spectral import SpectralData, compute_spectral_data
 
 T_CLOSED = find_fixture("closed-form-s").matrix()
@@ -199,3 +200,16 @@ class TestVerifyCertificate:
                                     cert.residual_unitarity,
                                     cert.residual_intertwine,
                                     cert.residual_eigvec)
+
+
+@pytest.mark.parametrize("check, t", [
+    # A 4x4 Ginibre matrix, NotUECSM alone, must not pass as a stack of one.
+    (lambda t: brute_force_uecsm(t, restarts=1),
+     np.random.default_rng(4).standard_normal((4, 4))),
+    (lambda t: verify_certificate(t, build_s(pinned_data(), [1, 1, -1]), pinned_data(),
+                                  [1, 1, -1]), T_CLOSED),
+    (tener_applicable, T_CLOSED),
+], ids=["brute_force_uecsm", "verify_certificate", "tener_applicable"])
+def test_one_matrix_checks_refuse_a_stack(check, t):
+    with pytest.raises(ValueError, match="expected a square matrix, got shape"):
+        check(t[None])

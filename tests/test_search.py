@@ -11,14 +11,17 @@ import hashlib
 import numpy as np
 import pytest
 
+import uecsm.search as search
 from uecsm.criteria import FinalVerdict, classify
 from uecsm.fixtures import find_fixture
-from uecsm.linalg import EigenSolverError
-from uecsm.search import SearchResult, _is_hit, candidate_matrix, run_search
+from uecsm.linalg import DEFAULT_TOLERANCES, EigenSolverError
+from uecsm.search import SearchResult, _is_hit, _reports, candidate_matrix, run_search
+
+from test_properties import report_bits
 
 COUNTEREXAMPLE = find_fixture("strong-angle-counterexample").matrix()
 CLOSED_FORM = find_fixture("closed-form-s").matrix()
-# The eigensystem of this candidate stalls in inverse iteration.
+# The eigensystems of candidates 3006 and 9817 stall in inverse iteration.
 BREAKDOWN = candidate_matrix(0, 3006, 3, -9, 9)
 
 
@@ -86,6 +89,26 @@ class TestRunSearch:
         assert classify(candidate_matrix(0, 550, 3, -9, 9)).final \
             is FinalVerdict.NOT_APPLICABLE
 
+    def test_breakdown_in_the_stream_is_pinned(self):
+        # Candidate 3006 raises inside its stream block, which is decided
+        # again in halves down to it alone.
+        result = run_search(3010, seed=0)
+        assert (result.candidates, result.not_applicable, result.breakdown,
+                result.uecsm, result.not_uecsm) == (3010, 2, 1, 9, 2998)
+        assert result.hits == []
+
+    def test_every_classify_call_gets_a_stack(self, monkeypatch):
+        shapes = []
+
+        def spy(m, cfg, seed):
+            shapes.append(np.shape(m))
+            return classify(m, cfg, seed=seed)
+
+        monkeypatch.setattr(search, "classify", spy)
+        run_search(3010, seed=0)
+        run_search(3, inject=(COUNTEREXAMPLE, BREAKDOWN, CLOSED_FORM))
+        assert shapes and all(len(shape) == 3 for shape in shapes)
+
     def test_counts_are_a_partition(self):
         result = run_search(500, seed=0)
         assert (result.not_applicable + result.breakdown + result.uecsm
@@ -143,8 +166,8 @@ class TestRunSearch:
         assert [h.index for h in result.hits][:1] == [0]
 
     def test_numerical_failure_counted_as_breakdown(self):
-        # The planted candidate raises in a stack with CLOSED_FORM, so that
-        # block is decided again one candidate at a time.
+        # Each planted candidate is decided as a stack of one; the one that
+        # raises counts as a breakdown.
         result = run_search(3, inject=(COUNTEREXAMPLE, BREAKDOWN, CLOSED_FORM))
         assert result.breakdown == 1
         assert (result.not_uecsm, result.uecsm) == (1, 1)
@@ -160,6 +183,16 @@ class TestRunSearch:
         reports = classify(np.delete(stack, 16, axis=0))
         assert len(reports) == 19
 
+    def test_block_isolates_the_candidates_that_raise(self):
+        indices = [550, 383, 3005, 3006, 3007, 9816, 9817, 9818, 1035]
+        stack = np.array([candidate_matrix(0, i, 3, -9, 9) for i in indices])
+        reports = _reports(stack, 0, DEFAULT_TOLERANCES)
+        assert [i for i, r in zip(indices, reports) if r is None] == [3006, 9817]
+        for m, report in zip(stack, reports):
+            if report is not None:
+                assert report_bits(report) == report_bits(classify(m))
+        assert {r.final for r in reports if r is not None} == set(FinalVerdict)
+
     def test_empty_search(self):
         result = run_search(0)
         assert result == SearchResult(candidates=0)
@@ -169,6 +202,7 @@ class TestRunSearch:
         {"count": 1, "dim": 0},
         {"count": 1, "entry_low": 5, "entry_high": 4},
         {"count": 1, "seed": -3},
+        {"count": 1, "seed": 2**64},
     ])
     def test_argument_validation(self, kwargs):
         with pytest.raises(ValueError):
