@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .documents import (
     FORMAT_VERSION,
     DocumentError,
     MatrixDocument,
+    _write,
     build_report_document,
     parse_matrix_document,
     serialize_matrix_document,
@@ -223,7 +223,7 @@ def cmd_search(args) -> int:
             "hit_indices": [hit.index for hit in result.hits],
             "hit_files": hit_files,
         }
-        Path(args.json).write_text(json.dumps(summary, indent=2) + "\n")
+        Path(args.json).write_text(_write(summary))
     return 0
 
 
@@ -324,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "restarts", 1) < 1:
         print(f"error: --restarts must be at least 1, got {args.restarts}",
               file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if args.seed < 0:
+        print(f"error: --seed must be nonnegative, got {args.seed}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
         return args.func(args)

@@ -9,10 +9,9 @@ checked on input; this module reads and writes version 1.
 A matrix document's entries are validated in one array pass: a sweep over
 the types of the numbers, one float conversion and one finiteness check.
 Only a document that fails it is walked entry by entry, to name the first
-bad row or entry.  The writer writes what the standard library's encoder
-writes with indent=2 and allow_nan=False, byte for byte, refuses what it
-refuses with its errors, and also refuses a non-str key, which it would
-coerce.  It formats each list of ``[re, im]`` float pairs in one step.
+bad row or entry.  The writer is the standard library's encoder with
+allow_nan=False: a document is written on one line, and what the encoder
+refuses raises its error.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import math
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -175,67 +173,18 @@ def _entry_parts(raw: list) -> np.ndarray | None:
     return parts
 
 
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
 def _write(tree) -> str:
-    """The JSON text of ``tree``: what the standard library writes with
-    indent=2 and allow_nan=False, and a newline, byte for byte."""
-    return _dump(tree, "\n") + "\n"
-
-
-def _dump(value, nl: str) -> str:
-    """``value`` as JSON, with ``nl`` the newline and indent of its own line.
-
-    Keeps the rules of CPython's pure-Python encoder: types are tested in
-    its order (str, None, bool, int, float, list or tuple, dict), numbers
-    are written by int.__repr__ and float.__repr__, and what it refuses
-    raises its error: a non-finite float, an unsupported object.  A non-str
-    key, which it would coerce, is refused too, and a cycle runs into
-    RecursionError.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    inner = nl + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        body = _pair_list_body(value, inner)
-        if body is None:
-            body = ("," + inner).join([_dump(v, inner) for v in value])
-        return "[" + inner + body + nl + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key, v in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + _dump(v, inner))
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _pair_list_body(items, inner: str) -> str | None:
-    """The items of a list of finite [float, float] pairs, written in one
-    %-formatting step, or None if ``items`` is not such a list."""
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return None
-    flat = list(chain.from_iterable(items))
-    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
-        return None
-    deeper = inner + "  "
-    pair = "[" + deeper + "%s," + deeper + "%s" + inner + "]"
-    return ("," + inner).join([pair] * len(items)) % tuple(map(float.__repr__, flat))
+    """The JSON text of ``tree`` on one line, and a newline."""
+    try:
+        return _ENCODER.encode(tree) + "\n"
+    except ValueError:
+        # The C encoder does not name a non-finite float; the pure-Python
+        # encoder, which runs with an indent, raises the same error naming it.
+        json.dumps(tree, allow_nan=False, indent=0)
+        raise
 
 
 def serialize_matrix_document(doc: MatrixDocument) -> str:

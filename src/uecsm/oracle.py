@@ -227,6 +227,8 @@ def brute_force_uecsm(
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     a = power_of_two_rescale(as_matrix(t))[0]    # rounds as t would; norms stay finite
     n = a.shape[0]
     if n == 1 or not a.any():

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -95,12 +96,14 @@ def _reports(stack: np.ndarray, start: int, cfg: ToleranceConfig) -> list:
 
 def _scan_range(indices: range, *, seed, dim, entry_low, entry_high,
                 cfg, inject) -> SearchResult:
-    result = SearchResult(candidates=len(indices))
+    # Bounds, not len(): a range longer than 2**63 - 1 has no len().
+    result = SearchResult(candidates=indices.stop - indices.start)
     planted = range(indices.start, min(indices.stop, len(inject)))
     stream = range(max(indices.start, len(inject)), indices.stop)
     size = max(1, _BLOCK_ENTRIES // (dim * dim))
-    blocks = [range(index, index + 1) for index in planted]
-    blocks += [stream[k:k + size] for k in range(0, len(stream), size)]
+    blocks = chain((range(index, index + 1) for index in planted),
+                   (range(k, min(k + size, stream.stop))
+                    for k in range(stream.start, stream.stop, size)))
     for block in blocks:
         if block.start < len(inject):
             stack = inject[block.start][None]
@@ -142,11 +145,12 @@ def run_search(
     blocks of at most ``_BLOCK_ENTRIES`` matrix entries, one stacked
     ``classify`` per block, and a block that raises is decided again in
     halves down to stacks of one, so the counts equal those of one call per
-    candidate.  Planted candidates are blocks of one.  ``seed`` keys the
-    Philox stream, whose key words are 64 bits wide.
+    candidate.  Planted candidates are blocks of one.  ``seed`` and the
+    candidate index key the Philox stream, whose key words are 64 bits wide,
+    so ``count`` is at most 2**64.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    if not 0 <= count <= 2**64:
+        raise ValueError("count must be nonnegative and at most 2**64")
     if dim < 1:
         raise ValueError("dim must be positive")
     if entry_low > entry_high:
@@ -157,7 +161,8 @@ def run_search(
 
     scan = functools.partial(_scan_range, seed=seed, dim=dim, entry_low=entry_low,
                              entry_high=entry_high, cfg=cfg, inject=inject)
-    bounds = np.linspace(0, count, max(1, min(workers, count)) + 1, dtype=int).tolist()
+    n_parts = max(1, min(workers, count))
+    bounds = [count * k // n_parts for k in range(n_parts + 1)]
     parts = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
     if len(parts) == 1:
         return scan(parts[0])

@@ -180,6 +180,12 @@ class TestClassify:
         assert code == EXIT_BAD_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_oracle_with_negative_seed_is_bad_input(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "closed-form-s")
+        code = main(["classify", str(path), "--oracle", "--seed", "-1"])
+        assert code == EXIT_BAD_INPUT
+        assert "error: --seed" in capsys.readouterr().err
+
     def test_unwritable_json_path_is_bad_input(self, tmp_path, capsys):
         path = write_doc(tmp_path, "closed-form-s")
         out_path = tmp_path / "no-such-dir" / "report.json"
@@ -244,6 +250,25 @@ class TestSearch:
         assert code == EXIT_BAD_INPUT
         assert "seed" in capsys.readouterr().err
 
+    def test_count_past_the_stream_key_is_bad_input(self, tmp_path, capsys):
+        code = main(["search", "--count", str(2**65), "--out-dir", str(tmp_path)])
+        assert code == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: count")
+
+    def test_summary_is_one_line(self, tmp_path, capsys):
+        summary = tmp_path / "s.json"
+        out_dir = tmp_path / "hits"
+        assert main(["search", "--count", "50", "--seed", "3",
+                     "--inject", "strong-angle-counterexample",
+                     "--out-dir", str(out_dir), "--json", str(summary)]) == 0
+        text = summary.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert json.loads(text) == {
+            "format_version": 1, "seed": 3, "count": 50, "dim": 3,
+            "entry_range": [-9, 9], "not_applicable": 0, "breakdown": 0,
+            "uecsm": 0, "not_uecsm": 50, "hit_indices": [0],
+            "hit_files": [str(out_dir / "hit-000000.json")]}
+
     def test_unknown_inject_label(self, tmp_path, capsys):
         code = main(["search", "--count", "1", "--inject", "/missing.json",
                      "--out-dir", str(tmp_path)])
@@ -275,6 +300,10 @@ class TestFixtures:
     def test_zero_restarts_is_bad_input(self, capsys):
         assert main(["fixtures", "--restarts", "0"]) == EXIT_BAD_INPUT
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_is_bad_input(self, capsys):
+        assert main(["fixtures", "--only", "table2", "--seed", "-1"]) == EXIT_BAD_INPUT
+        assert "error: --seed" in capsys.readouterr().err
 
     def test_unknown_group_rejected(self):
         with pytest.raises(SystemExit) as info:

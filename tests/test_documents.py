@@ -28,34 +28,8 @@ from uecsm.fixtures import TABLE3, find_fixture
 from uecsm.linalg import ToleranceConfig
 from uecsm.oracle import brute_force_uecsm
 
-PINNED_TEXT = """{
-  "format_version": 1,
-  "label": "pinned",
-  "n": 2,
-  "entries": [
-    [
-      [
-        1.0,
-        0.0
-      ],
-      [
-        2.5,
-        -1.0
-      ]
-    ],
-    [
-      [
-        -0.0,
-        0.0
-      ],
-      [
-        0.0,
-        1e-300
-      ]
-    ]
-  ]
-}
-"""
+PINNED_TEXT = ('{"format_version": 1, "label": "pinned", "n": 2, "entries": '
+               '[[[1.0, 0.0], [2.5, -1.0]], [[-0.0, 0.0], [0.0, 1e-300]]]}\n')
 
 
 class TestMatrixDocuments:
@@ -379,6 +353,19 @@ class TestReportDocuments:
         with pytest.raises(TypeError, match="not JSON serializable"):
             serialize_report_document(doc)
 
+    def test_writer_names_a_non_finite_field(self):
+        doc = report_for("family-s5")
+        doc["seed"] = float("inf")
+        with pytest.raises(ValueError, match="^Out of range float values are not "
+                                             "JSON compliant: inf$"):
+            serialize_report_document(doc)
+
+    def test_writer_refuses_a_cycle(self):
+        doc = report_for("family-s5")
+        doc["oracle"] = {"loop": doc}
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            serialize_report_document(doc)
+
     def test_wrong_version_rejected(self):
         payload = json.loads(serialize_report_document(report_for("family-s5")))
         payload["format_version"] = 2
@@ -399,7 +386,7 @@ class TestDocumentError:
 
 # JSON trees for the writer: str keys; ints past 2**64; finite floats with
 # the edge values; non-ASCII and control characters; tuples, empty lists and
-# dicts; and lists of [re, im] pairs, which the writer formats in one step.
+# dicts; and lists of [re, im] pairs, as the documents hold them.
 FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
           | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308]))
 INTS = st.integers() | st.integers(min_value=2 ** 64, max_value=2 ** 200).map(
@@ -420,8 +407,7 @@ WRITER = settings(derandomize=True, deadline=None, max_examples=150)
 @WRITER
 @given(tree=TREES)
 def test_writer_matches_json_dumps(tree):
-    assert serialize_report_document(tree) == json.dumps(tree, indent=2,
-                                                         allow_nan=False) + "\n"
+    assert serialize_report_document(tree) == json.dumps(tree, allow_nan=False) + "\n"
 
 
 MATRICES = st.integers(min_value=1, max_value=4).flatmap(
@@ -436,5 +422,5 @@ def test_matrix_writer_matches_json_dumps(m, label):
     text = serialize_matrix_document(doc)
     assert text == json.dumps({"format_version": 1, "label": label, "n": len(m),
                                "entries": np.stack((m.real, m.imag), -1).tolist()},
-                              indent=2, allow_nan=False) + "\n"
+                              allow_nan=False) + "\n"
     assert parse_matrix_document(text) == doc

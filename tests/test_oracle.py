@@ -190,6 +190,12 @@ class TestBruteForce:
             with pytest.raises(ValueError):
                 brute_force_uecsm(t, restarts=0)
 
+    def test_negative_seed_refused(self):
+        # Also before the shortcut for trivial input, which draws no stream.
+        for t in (np.zeros((3, 3)), family_member(3)):
+            with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+                brute_force_uecsm(t, restarts=2, seed=-1)
+
     def test_inconclusive_band_spends_every_restart(self, monkeypatch):
         # Every descent ends at residual 3e-6, between ORACLE_TOL and
         # NOT_UECSM_MARGIN * ORACLE_TOL: neither a certificate nor a refutation.

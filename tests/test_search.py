@@ -25,6 +25,29 @@ CLOSED_FORM = find_fixture("closed-form-s").matrix()
 BREAKDOWN = candidate_matrix(0, 3006, 3, -9, 9)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run the search's process pool in this process; the list of the pool
+    sizes asked for."""
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return asked
+
+
 class TestCandidateMatrix:
     def test_deterministic(self):
         a = candidate_matrix(7, 123, 3, -9, 9)
@@ -124,26 +147,33 @@ class TestRunSearch:
         assert ([h.index for h in serial.hits]
                 == [h.index for h in parallel.hits])
 
-    def test_pool_is_no_larger_than_the_job_list(self, monkeypatch):
-        asked = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    def test_pool_is_no_larger_than_the_job_list(self, inline_pool):
         result = run_search(3, seed=2, workers=64)
-        assert asked and max(asked) <= 3
+        assert inline_pool and max(inline_pool) <= 3
         assert result == run_search(3, seed=2, workers=1)
+
+    @pytest.mark.parametrize("count, workers", [(2**53 + 1, 2), (2**64, 3)])
+    def test_parts_tile_the_range_exactly(self, inline_pool, monkeypatch, count, workers):
+        parts = []
+
+        def record(indices, **kwargs):
+            parts.append(indices)
+            return SearchResult(candidates=indices.stop - indices.start)
+
+        monkeypatch.setattr(search, "_scan_range", record)
+        result = run_search(count, workers=workers)
+        assert len(parts) == workers
+        assert parts[0].start == 0 and parts[-1].stop == count
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        assert result.candidates == count
+
+    def test_last_candidates_of_the_key_space(self):
+        indices = range(2**64 - 3, 2**64)
+        result = search._scan_range(indices, seed=0, dim=3, entry_low=-9, entry_high=9,
+                                    cfg=DEFAULT_TOLERANCES, inject=())
+        assert result.candidates == 3
+        assert (result.not_applicable + result.breakdown + result.uecsm
+                + result.not_uecsm) == 3
 
     def test_injected_hit_is_found(self):
         result = run_search(3, dim=4, inject=(COUNTEREXAMPLE,), seed=0)
@@ -199,6 +229,7 @@ class TestRunSearch:
 
     @pytest.mark.parametrize("kwargs", [
         {"count": -1},
+        {"count": 2**64 + 1},
         {"count": 1, "dim": 0},
         {"count": 1, "entry_low": 5, "entry_high": 4},
         {"count": 1, "seed": -3},
