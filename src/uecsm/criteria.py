@@ -38,14 +38,18 @@ Where two comparisons are mathematically tied, rounding decides which one
 is reported.
 
 Every test also takes the SpectralData of a stack of matrices and returns
-one verdict per matrix, each what the matrix alone gives; ``classify`` on
-a (B, n, n) stack decides the whole stack that way.
+one ``StackVerdicts`` record: arrays with one entry per matrix, item b the
+verdict matrix b alone gets.  ``classify`` on a (B, n, n) stack decides the
+whole stack that way and returns ``StackReports``, which carries every
+member's final verdict and test outcomes as arrays and builds a member's
+report only when it is asked for.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -109,32 +113,50 @@ class ClassificationReport:
     certificate: ConjugationCertificate | None = None
 
 
-# One test's verdict on one matrix, or one per matrix of a stack.
-Verdicts = TestVerdict | tuple[TestVerdict, ...]
+@dataclass(frozen=True)
+class StackVerdicts:
+    """One test's verdicts on a stack of matrices, one entry per matrix:
+    whether it passed, its first worst comparison (an index into
+    ``labels``), the two values compared there and their gap.  Item b is
+    the TestVerdict matrix b alone gets."""
+
+    kind: str
+    passed: np.ndarray
+    worst: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    discrepancy: np.ndarray
+    labels: tuple[tuple[int, ...], ...]
+
+    def __getitem__(self, b: int) -> TestVerdict:
+        return TestVerdict(self.kind, Outcome.PASS if self.passed[b] else Outcome.FAIL,
+                           Witness(self.labels[self.worst[b]], complex(self.left[b]),
+                                   complex(self.right[b]), float(self.discrepancy[b])))
+
+
+# One test's verdict on one matrix, or the record of one per matrix of a stack.
+Verdicts = TestVerdict | StackVerdicts
 
 
 def _decide(kind: str, labels, left, right, limit) -> Verdicts:
     """Verdict on ``left[m]`` against ``right[m]``, witnessed by the first worst
     comparison m, whose 1-based indices are ``labels[m]``; pass iff within
     ``limit``, vacuously when nothing is compared (n = 1).  With a leading
-    stack axis on ``left``, ``right`` and ``limit``: one verdict per row, as
-    a tuple."""
-    count = len(labels)
-    if count:
-        gaps = np.abs(left - right)
-        m = gaps.argmax(axis=-1).reshape(-1)
-        at = m + np.arange(0, gaps.size, count)    # the flat index of each row's worst
+    stack axis on ``left``, ``right`` and ``limit``: the record of one
+    verdict per row."""
+    rows, right_rows = np.atleast_2d(left, right)
+    if labels:
+        gaps = np.abs(rows - right_rows)
+        m = gaps.argmax(axis=-1)
+        at = m + np.arange(0, gaps.size, len(labels))    # the flat index of each row's worst
         worst = gaps.take(at)
-        verdicts = [TestVerdict(kind, Outcome.PASS if ok else Outcome.FAIL,
-                                Witness(labels[k], complex(lv), complex(rv), gap))
-                    for k, gap, ok, lv, rv in zip(m.tolist(), worst.tolist(),
-                                                  (worst <= limit).tolist(),
-                                                  left.take(at).tolist(),
-                                                  right.take(at).tolist())]
+        record = StackVerdicts(kind, worst <= limit, m, rows.take(at), right_rows.take(at),
+                               worst, labels)
     else:
-        vacuous = TestVerdict(kind, Outcome.PASS, Witness((), 0j, 0j, 0.0))
-        verdicts = [vacuous] * (len(left) if left.ndim == 2 else 1)
-    return tuple(verdicts) if left.ndim == 2 else verdicts[0]
+        zeros = np.zeros(len(rows), dtype=np.intp)
+        record = StackVerdicts(kind, zeros == 0, zeros, zeros + 0j, zeros + 0j, zeros + 0.0,
+                               ((),))
+    return record if left.ndim == 2 else record[0]
 
 
 @functools.cache
@@ -221,7 +243,7 @@ def classify(
     t,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     seed: int = 0,
-) -> ClassificationReport | tuple[ClassificationReport, ...]:
+) -> ClassificationReport | StackReports:
     """Run the full decision pipeline on ``t``.
 
     The final verdict is UECSM exactly when the strong angle test passes,
@@ -230,12 +252,14 @@ def classify(
     spectrum yield NotApplicable with every test marked accordingly.
     Numerical breakdown inside the eigensystem propagates as an error.
 
-    ``t`` may be a (B, n, n) stack: the result is then a tuple of B reports,
-    report b equal field for field to ``classify(t[b])``, decided in one
-    stacked pass through the eigensystem and the four tests (only the
-    certificate of a UECSM member is built matrix by matrix).  The stack
-    raises the LinearAlgebraError of a member if any member alone would.
-    One matrix runs as a stack of one.
+    ``t`` may be a (B, n, n) stack: the result is then a ``StackReports``,
+    a read-only sequence of B reports whose report b equals
+    ``classify(t[b])`` field for field, decided in one stacked pass through
+    the eigensystem and the four tests.  It carries every member's final
+    verdict and test outcomes as arrays and builds report b only when it is
+    asked for.  The certificate of each UECSM member is built and verified
+    here, matrix by matrix, so the stack raises the LinearAlgebraError of a
+    member if any member alone would.  One matrix runs as a stack of one.
 
     ``seed`` is accepted and ignored: the pipeline draws no random numbers.
     It stays because callers, among them ``run_search`` and stand-ins that
@@ -245,13 +269,58 @@ def classify(
     if isinstance(found, NotApplicable):
         return _not_applicable(found)
     if not isinstance(found, tuple):
-        return _report(t, found, _verdicts(found, cfg), cfg)
+        verdicts = _verdicts(found, cfg)
+        uecsm = verdicts[-1].outcome is Outcome.PASS
+        return ClassificationReport(
+            final=FinalVerdict.UECSM if uecsm else FinalVerdict.NOT_UECSM,
+            verdicts=verdicts, spectrum=found.lambdas,
+            certificate=_certificate(t, found, cfg) if uecsm else None)
     sd, skipped = found
-    verdicts = zip(*_verdicts(sd, cfg)) if len(sd.lambdas) else iter(())
-    members = iter(range(len(sd.lambdas)))
-    return tuple(_report(t[b], sd.member(next(members)), next(verdicts), cfg)
-                 if na is None else _not_applicable(na)
-                 for b, na in enumerate(skipped))
+    verdicts = _verdicts(sd, cfg) if len(sd.lambdas) else ()
+    members = [b for b, na in enumerate(skipped) if na is None]
+    certificates = {k: _certificate(t[members[k]], sd.member(k), cfg)
+                    for k in np.flatnonzero(verdicts[-1].passed).tolist()} if verdicts else {}
+    return StackReports(skipped, sd, verdicts, certificates)
+
+
+class StackReports(Sequence):
+    """The reports of ``classify`` on a (B, n, n) stack, read-only.
+
+    ``final`` (B,) and ``outcomes`` (4, B), tests in TEST_KINDS order, hold
+    each member's FinalVerdict and test Outcomes as the strings of their
+    values (compare with ``FinalVerdict.UECSM.value``, not the member).
+    Report b is built on access, equal field for field to ``classify(t[b])``.
+    """
+
+    def __init__(self, skipped: tuple[NotApplicable | None, ...], sd: SpectralData,
+                 verdicts: tuple[StackVerdicts, ...],
+                 certificates: dict[int, ConjugationCertificate]):
+        applicable = np.array([na is None for na in skipped], dtype=bool)
+        self._skipped, self._sd = skipped, sd
+        self._verdicts, self._certificates = verdicts, certificates
+        self._rows = np.cumsum(applicable) - 1    # row of member b in sd and verdicts
+        self.final = np.full(len(skipped), FinalVerdict.NOT_APPLICABLE.value)
+        self.outcomes = np.full((len(TEST_KINDS), len(skipped)), Outcome.NOT_APPLICABLE.value)
+        if verdicts:
+            passed = np.array([v.passed for v in verdicts])
+            self.outcomes[:, applicable] = np.where(passed, Outcome.PASS.value,
+                                                    Outcome.FAIL.value)
+            self.final[applicable] = np.where(passed[-1], FinalVerdict.UECSM.value,
+                                              FinalVerdict.NOT_UECSM.value)
+        self.final.flags.writeable = self.outcomes.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self._skipped)
+
+    def __getitem__(self, b: int) -> ClassificationReport:
+        na = self._skipped[b]
+        if na is not None:
+            return _not_applicable(na)
+        k = int(self._rows[b])
+        return ClassificationReport(final=FinalVerdict(self.final[b]),
+                                    verdicts=tuple(v[k] for v in self._verdicts),
+                                    spectrum=self._sd.lambdas[k],
+                                    certificate=self._certificates.get(k))
 
 
 def _verdicts(sd: SpectralData, cfg: ToleranceConfig) -> tuple[Verdicts, ...]:
@@ -264,25 +333,11 @@ def _not_applicable(na: NotApplicable) -> ClassificationReport:
                                 verdicts=_NOT_APPLICABLE_VERDICTS, not_applicable=na)
 
 
-def _report(t, sd: SpectralData, verdicts, cfg: ToleranceConfig) -> ClassificationReport:
-    """The report on one applicable matrix from its four verdicts; UECSM
-    comes with the verified certificate."""
-    if verdicts[-1].outcome is not Outcome.PASS:
-        return ClassificationReport(
-            final=FinalVerdict.NOT_UECSM,
-            verdicts=verdicts,
-            spectrum=sd.lambdas,
-        )
-
+def _certificate(t, sd: SpectralData, cfg: ToleranceConfig) -> ConjugationCertificate:
+    """The verified certificate of one matrix that passes StrongAngle."""
     beta = complete_beta(build_beta(sd, cfg))
     alpha = extract_alpha(beta)
     s = build_s(sd, alpha, cfg)
     certificate = verify_certificate(t, s, sd, alpha)
     divisor = min(beta.min_divisor, float(np.abs(sd.e_diag).min()))
-    certificate = dataclasses.replace(certificate, beta_min_divisor=divisor)
-    return ClassificationReport(
-        final=FinalVerdict.UECSM,
-        verdicts=verdicts,
-        spectrum=sd.lambdas,
-        certificate=certificate,
-    )
+    return dataclasses.replace(certificate, beta_min_divisor=divisor)

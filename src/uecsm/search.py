@@ -5,11 +5,15 @@ and Parallelepiped while failing StrongAngle -- the situation where the
 cheap necessary tests are collectively blind.  Integer matrices are drawn
 entrywise uniformly; candidate ``i`` comes from its own Philox stream keyed
 by ``(seed, i)``, so the stream of candidates is reproducible and identical
-no matter how the index range is split across workers.  Hit lists are
-canonicalized by candidate index.
+no matter how the index range is split across workers.  A block of
+candidates is computed at once from the raw words of those streams by
+numpy's own bounded-integer rule, so each candidate is what numpy's
+``integers`` draws.  Hit lists are canonicalized by candidate index.
 
 Candidates are decided in blocks, one stacked ``classify`` call per block;
-a planted candidate is a block of one.  Candidates whose spectrum is
+a planted candidate is a block of one.  The counts and the hits come from
+the arrays of final verdicts and test outcomes that ``classify`` carries on
+a stack; no report is built for a candidate.  Candidates whose spectrum is
 repeated at working precision are skipped (counted as not applicable); the
 rare candidate that triggers a numerical breakdown inside the eigensystem
 is counted and skipped rather than aborting a long search: a block that
@@ -20,13 +24,14 @@ from __future__ import annotations
 
 import functools
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .criteria import FinalVerdict, Outcome, classify
-from .linalg import DEFAULT_TOLERANCES, LinearAlgebraError, ToleranceConfig
+from .criteria import TEST_KINDS, FinalVerdict, Outcome, classify
+from .linalg import DEFAULT_TOLERANCES, LinearAlgebraError, ToleranceConfig, as_matrix
 
 # A block holds at most this many matrix entries (113 candidates at n = 3).
 # Larger blocks spread the fixed cost of a stacked call over more candidates,
@@ -55,43 +60,68 @@ def candidate_matrix(seed: int, index: int | range, dim: int,
     """The ``index``-th integer candidate of the stream keyed by ``seed``; for
     a ``range`` of indices, the (len(index), dim, dim) stack of them.
 
-    Candidate i is drawn by a Philox generator with key (seed, i), from its
-    first counter value.  One generator serves the whole call: its state is
-    reset to that key for each index, which draws the same numbers as a
-    fresh ``Philox(key=(seed, i))`` without seeding one per candidate.
+    Candidate i is what ``Generator(Philox(key=(seed, i))).integers(entry_low,
+    entry_high + 1, size=(dim, dim))`` draws.  One Philox generator serves
+    the whole call: its state is reset to that key for each index, which
+    draws the same numbers as a fresh one without seeding one per candidate.
+    Numpy draws an entry from a range narrower than 2**32 by Lemire's
+    multiply-shift on one 32-bit half of a 64-bit word, low half first, and
+    rejects the half if the product's low word falls below a threshold.  So
+    the candidates are computed from the raw words of the whole block at
+    once, and a candidate with a rejected half, or any range of 2**32 values
+    or more, is drawn by ``integers`` itself.
     """
     indices = index if isinstance(index, range) else (index,)
     bits = np.random.Philox(0)
-    rng = np.random.Generator(bits)
     key = np.array([seed, 0], dtype=np.uint64)
     state = {**bits.state, "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key}}
-    out = np.empty((len(indices), dim, dim), dtype=np.complex128)
-    for k, i in enumerate(indices):
+
+    def reset(i):
         key[1] = i
         bits.state = state    # counter 0 and an empty buffer, as Philox(0) starts
+
+    span = entry_high - entry_low    # the range holds span + 1 values
+    size = dim * dim
+    out = np.empty((len(indices), dim, dim), dtype=np.complex128)
+    redraw = range(len(indices))
+    if span < 0xFFFFFFFF:
+        words = np.empty((len(indices), (size + 1) // 2), dtype=np.uint64)
+        for k, i in enumerate(indices):
+            reset(i)
+            words[k] = bits.random_raw(words.shape[1])
+        halves = np.stack((words & 0xFFFFFFFF, words >> 32), axis=-1)
+        m = halves.reshape(len(indices), -1)[:, :size] * np.uint64(span + 1)
+        out[...] = (entry_low + (m >> 32).astype(np.int64)).reshape(out.shape)
+        threshold = (0xFFFFFFFF - span) % (span + 1)
+        redraw = np.flatnonzero(((m & 0xFFFFFFFF) < threshold).any(axis=-1)).tolist()
+    rng = np.random.Generator(bits)
+    for k in redraw:
+        reset(indices[k])
         out[k] = rng.integers(entry_low, entry_high + 1, size=(dim, dim))
     return out if isinstance(index, range) else out[0]
 
 
-def _is_hit(report) -> bool:
-    by_kind = {v.kind: v.outcome for v in report.verdicts}
-    return (by_kind["Angle"] is Outcome.PASS
-            and by_kind["Grammian"] is Outcome.PASS
-            and by_kind["Parallelepiped"] is Outcome.PASS
-            and by_kind["StrongAngle"] is Outcome.FAIL)
+def _hits(outcomes: np.ndarray) -> np.ndarray:
+    """Which columns of (4, B) test outcomes, tests in TEST_KINDS order, are
+    hits: Angle, Grammian and Parallelepiped pass and StrongAngle fails."""
+    return (outcomes[:3] == Outcome.PASS.value).all(axis=0) & (outcomes[3] == Outcome.FAIL.value)
 
 
-def _reports(stack: np.ndarray, start: int, cfg: ToleranceConfig) -> list:
-    """The reports on a stack of candidates numbered from ``start``, None
-    for each candidate that raises.  A stack that raises is decided again
-    in halves, down to stacks of one."""
+def _reports(stack: np.ndarray, start: int, cfg: ToleranceConfig
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The final verdicts (B,) and test outcomes (4, B) of a stack of
+    candidates numbered from ``start``, as the ``final`` and ``outcomes``
+    arrays of ``classify``, with "" for each candidate that raises.  A
+    stack that raises is decided again in halves, down to stacks of one."""
     try:
-        return list(classify(stack, cfg, seed=start))
+        reports = classify(stack, cfg, seed=start)
     except LinearAlgebraError:
         if len(stack) == 1:
-            return [None]
+            return np.array([""]), np.array([[""]] * len(TEST_KINDS))
         half = len(stack) // 2
-        return _reports(stack[:half], start, cfg) + _reports(stack[half:], start + half, cfg)
+        halves = _reports(stack[:half], start, cfg), _reports(stack[half:], start + half, cfg)
+        return tuple(np.concatenate(pair, axis=-1) for pair in zip(*halves))
+    return reports.final, reports.outcomes
 
 
 def _scan_range(indices: range, *, seed, dim, entry_low, entry_high,
@@ -109,19 +139,23 @@ def _scan_range(indices: range, *, seed, dim, entry_low, entry_high,
             stack = inject[block.start][None]
         else:
             stack = candidate_matrix(seed, block, dim, entry_low, entry_high)
-        for index, m, report in zip(block, stack, _reports(stack, block.start, cfg)):
-            if report is None:
-                result.breakdown += 1
-            elif report.final is FinalVerdict.NOT_APPLICABLE:
-                result.not_applicable += 1
-            else:
-                if report.final is FinalVerdict.UECSM:
-                    result.uecsm += 1
-                else:
-                    result.not_uecsm += 1
-                if _is_hit(report):
-                    result.hits.append(SearchHit(index=index, matrix=m.copy()))
+        final, outcomes = _reports(stack, block.start, cfg)
+        tally = Counter(final.tolist())
+        result.breakdown += tally[""]
+        result.not_applicable += tally[FinalVerdict.NOT_APPLICABLE.value]
+        result.uecsm += tally[FinalVerdict.UECSM.value]
+        result.not_uecsm += tally[FinalVerdict.NOT_UECSM.value]
+        result.hits.extend(SearchHit(index=block.start + k, matrix=stack[k].copy())
+                           for k in np.flatnonzero(_hits(outcomes)).tolist())
     return result
+
+
+def _planted(k: int, m) -> np.ndarray:
+    """``inject[k]`` as a square complex matrix, refused under its own name."""
+    try:
+        return as_matrix(m)
+    except ValueError as exc:
+        raise ValueError(f"inject[{k}]: {exc}") from None
 
 
 def run_search(
@@ -137,7 +171,10 @@ def run_search(
     """Classify ``count`` random candidates and collect the hits.
 
     ``inject`` replaces the first ``len(inject)`` candidates with fixed
-    matrices (a test hook: a planted hit must be found regardless of seed).
+    matrices (a test hook: a planted hit must be found regardless of seed),
+    each checked to be square and finite before any candidate is decided.
+    Entries are drawn from [entry_low, entry_high], which must lie within
+    the int64 range.
     Results are deterministic for fixed (seed, count, dim, range, inject)
     and independent of ``workers``.  The range is split into at most
     ``workers`` nonempty parts; a single part runs in this process, several
@@ -155,9 +192,11 @@ def run_search(
         raise ValueError("dim must be positive")
     if entry_low > entry_high:
         raise ValueError("entry range is empty")
+    if not (-2**63 <= entry_low and entry_high < 2**63):
+        raise ValueError("entry range must lie within [-2**63, 2**63 - 1]")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be nonnegative and below 2**64")
-    inject = tuple(np.asarray(m, dtype=np.complex128) for m in inject)
+    inject = tuple(_planted(k, m) for k, m in enumerate(inject))
 
     scan = functools.partial(_scan_range, seed=seed, dim=dim, entry_low=entry_low,
                              entry_high=entry_high, cfg=cfg, inject=inject)

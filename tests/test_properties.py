@@ -8,7 +8,8 @@ keeps it as well.  Every complex symmetric matrix is
 trivially UECSM, so ``classify`` must certify it.  The memory layout of T
 is no part of the input: C order, Fortran order and a strided view give
 the same report, bit for bit.  A (B, n, n) stack gives, report for
-report, what each of its matrices gives alone, in any order of the stack.
+report, what each of its matrices gives alone, in any order of the stack,
+and its arrays of final verdicts and test outcomes agree with its reports.
 Matrices are drawn from seed integers, and hypothesis runs derandomized, so
 every run checks the same examples.
 """
@@ -125,4 +126,8 @@ def test_stack_matches_single_calls(n, members, order_seed):
             with pytest.raises(errors):
                 classify(stack[perm])
         else:
-            assert [report_bits(r) for r in classify(stack[perm])] == [singles[k] for k in perm]
+            reports = classify(stack[perm])
+            assert [report_bits(r) for r in reports] == [singles[k] for k in perm]
+            assert reports.final.tolist() == [r.final.value for r in reports]
+            assert reports.outcomes.T.tolist() == [[v.outcome.value for v in r.verdicts]
+                                                   for r in reports]

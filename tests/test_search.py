@@ -11,13 +11,13 @@ import hashlib
 import numpy as np
 import pytest
 
+import uecsm.criteria as criteria
 import uecsm.search as search
 from uecsm.criteria import FinalVerdict, classify
 from uecsm.fixtures import find_fixture
 from uecsm.linalg import DEFAULT_TOLERANCES, EigenSolverError
-from uecsm.search import SearchResult, _is_hit, _reports, candidate_matrix, run_search
+from uecsm.search import SearchResult, _hits, _reports, candidate_matrix, run_search
 
-from test_properties import report_bits
 
 COUNTEREXAMPLE = find_fixture("strong-angle-counterexample").matrix()
 CLOSED_FORM = find_fixture("closed-form-s").matrix()
@@ -74,21 +74,44 @@ class TestCandidateMatrix:
         assert hashlib.sha256(stack.tobytes()).hexdigest() == digest
         assert np.array_equal(stack[123], candidate_matrix(seed, 123, 3, -9, 9))
 
+    @pytest.mark.parametrize("low, high", [
+        (-9, 9), (0, 0), (-1, 1),
+        (0, 2**31),                   # about half the 32-bit halves are rejected
+        (-2**31, 2**31 - 3),
+        (-2**40, 2**40),              # 2**32 values or more: numpy's 64-bit rule
+    ])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_stream_is_numpys_stream(self, dim, low, high):
+        # Candidates come from raw Philox words through numpy's bounded-integer
+        # rule; they must stay what numpy's own draw gives.
+        indices = range(40, 100)
+        expected = [np.random.Generator(np.random.Philox(key=(11, i))).integers(
+            low, high + 1, size=(dim, dim)) for i in indices]
+        stack = candidate_matrix(11, indices, dim, low, high)
+        assert stack.shape == (len(indices), dim, dim)
+        assert np.array_equal(stack, np.array(expected, dtype=np.complex128))
+
     def test_streams_differ_across_indices_and_seeds(self):
         base = candidate_matrix(0, 0, 4, -9, 9)
         assert not np.array_equal(base, candidate_matrix(0, 1, 4, -9, 9))
         assert not np.array_equal(base, candidate_matrix(1, 0, 4, -9, 9))
 
 
+def is_hit(m) -> bool:
+    """The search's rule on the outcomes of ``m`` decided as a stack of one."""
+    (hit,) = _hits(classify(m[None]).outcomes).tolist()
+    return hit
+
+
 class TestHitPredicate:
     def test_counterexample_is_a_hit(self):
-        assert _is_hit(classify(COUNTEREXAMPLE)) is True
+        assert is_hit(COUNTEREXAMPLE) is True
 
     def test_uecsm_matrix_is_not(self):
-        assert _is_hit(classify(CLOSED_FORM)) is False
+        assert is_hit(CLOSED_FORM) is False
 
     def test_necessary_failure_is_not(self):
-        assert _is_hit(classify(find_fixture("necessary-tests-fail").matrix())) is False
+        assert is_hit(find_fixture("necessary-tests-fail").matrix()) is False
 
 
 class TestRunSearch:
@@ -131,6 +154,21 @@ class TestRunSearch:
         run_search(3010, seed=0)
         run_search(3, inject=(COUNTEREXAMPLE, BREAKDOWN, CLOSED_FORM))
         assert shapes and all(len(shape) == 3 for shape in shapes)
+
+    def test_builds_no_report_objects(self, monkeypatch):
+        # Counts and hits come from the stacked arrays: no report, verdict or
+        # witness is built for a candidate, breakdowns and halving included.
+        built = []
+        for name in ("ClassificationReport", "TestVerdict", "Witness"):
+            cls = getattr(criteria, name)
+            monkeypatch.setattr(criteria, name,
+                                lambda *args, _cls=cls, **kwargs: built.append(_cls.__name__)
+                                or _cls(*args, **kwargs))
+        result = run_search(3010, seed=0)
+        assert (result.breakdown, result.uecsm) == (1, 9)
+        assert built == []
+        classify(CLOSED_FORM[None])[0]    # a report asked for is built on access
+        assert set(built) == {"ClassificationReport", "TestVerdict", "Witness"}
 
     def test_counts_are_a_partition(self):
         result = run_search(500, seed=0)
@@ -216,12 +254,14 @@ class TestRunSearch:
     def test_block_isolates_the_candidates_that_raise(self):
         indices = [550, 383, 3005, 3006, 3007, 9816, 9817, 9818, 1035]
         stack = np.array([candidate_matrix(0, i, 3, -9, 9) for i in indices])
-        reports = _reports(stack, 0, DEFAULT_TOLERANCES)
-        assert [i for i, r in zip(indices, reports) if r is None] == [3006, 9817]
-        for m, report in zip(stack, reports):
-            if report is not None:
-                assert report_bits(report) == report_bits(classify(m))
-        assert {r.final for r in reports if r is not None} == set(FinalVerdict)
+        final, outcomes = _reports(stack, 0, DEFAULT_TOLERANCES)
+        assert [i for i, f in zip(indices, final) if f == ""] == [3006, 9817]
+        for m, f, o in zip(stack, final, outcomes.T):
+            if f != "":
+                report = classify(m)
+                assert (f, o.tolist()) == (report.final.value,
+                                           [v.outcome.value for v in report.verdicts])
+        assert set(final) == {""} | {f.value for f in FinalVerdict}
 
     def test_empty_search(self):
         result = run_search(0)
@@ -234,7 +274,25 @@ class TestRunSearch:
         {"count": 1, "entry_low": 5, "entry_high": 4},
         {"count": 1, "seed": -3},
         {"count": 1, "seed": 2**64},
+        {"count": 0, "entry_low": 0, "entry_high": 2**63},
+        {"count": 1, "entry_low": -2**63 - 1, "entry_high": 0},
+        {"count": 1, "entry_low": 2**63, "entry_high": 2**63},
     ])
     def test_argument_validation(self, kwargs):
         with pytest.raises(ValueError):
             run_search(**kwargs)
+
+    def test_int64_range_is_accepted(self):
+        result = run_search(3, entry_low=-2**63, entry_high=2**63 - 1)
+        assert result.candidates == 3
+
+    @pytest.mark.parametrize("m, message", [
+        (np.zeros((2, 3)), r"inject\[1\]: expected a square matrix, got shape \(2, 3\)"),
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), r"inject\[1\]: matrix has non-finite entries"),
+    ], ids=["not-square", "non-finite"])
+    def test_planted_matrix_is_checked_up_front(self, monkeypatch, m, message):
+        decided = []
+        monkeypatch.setattr(search, "classify", lambda *args, **kwargs: decided.append(args))
+        with pytest.raises(ValueError, match=message):
+            run_search(2, inject=(CLOSED_FORM, m), workers=2)
+        assert decided == []

@@ -258,7 +258,9 @@ class TestStack:
     def test_empty_stack(self):
         data, skipped = compute_spectral_data(np.zeros((0, 3, 3)))
         assert skipped == () and data.u_basis.shape == (0, 3, 3)
-        assert classify(np.zeros((0, 3, 3))) == ()
+        reports = classify(np.zeros((0, 3, 3)))
+        assert len(reports) == 0 and list(reports) == []
+        assert reports.final.shape == (0,) and reports.outcomes.shape == (4, 0)
 
 
 class TestNotApplicable:
