@@ -80,11 +80,19 @@ class Outcome(str, Enum):
     FAIL = "Fail"
     NOT_APPLICABLE = "NotApplicable"
 
+    def __str__(self) -> str:
+        # numpy converts a str member through str(): this makes an array
+        # hold, and compare equal to, the value.
+        return self.value
+
 
 class FinalVerdict(str, Enum):
     UECSM = "UECSM"
     NOT_UECSM = "NotUECSM"
     NOT_APPLICABLE = "NotApplicable"
+
+    def __str__(self) -> str:
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -288,7 +296,7 @@ class StackReports(Sequence):
 
     ``final`` (B,) and ``outcomes`` (4, B), tests in TEST_KINDS order, hold
     each member's FinalVerdict and test Outcomes as the strings of their
-    values (compare with ``FinalVerdict.UECSM.value``, not the member).
+    values, which compare equal to the members.
     Report b is built on access, equal field for field to ``classify(t[b])``.
     """
 

@@ -18,7 +18,6 @@ at the loose contract bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,11 +110,11 @@ def power_of_two_rescale(m) -> tuple[np.ndarray, int | np.ndarray]:
     exponent per matrix.  This is the eigen pipeline's one check of its
     input (``as_matrices``); the result is C-contiguous."""
     a = np.ascontiguousarray(as_matrices(m))
-    tops = np.abs(a.view(np.float64)).max(axis=(-2, -1)).reshape(-1).tolist()
-    e = [k + k % 2 for k in (math.frexp(top)[1] for top in tops)]
+    e = np.frexp(np.abs(a.view(np.float64)).max(axis=(-2, -1)))[1].astype(int)
+    e += e % 2
     if a.ndim == 2:
-        return complex_ldexp(a, -e[0]), e[0]
-    e = np.array(e, dtype=int)
+        e = int(e)    # a Python int, as reports serialize it
+        return complex_ldexp(a, -e), e
     return complex_ldexp(a, -e[:, None, None]), e
 
 

@@ -55,6 +55,17 @@ started at the identity never moves on real input.  The random complex restarts 
 the identity start is kept only because it is free and occasionally lands
 exactly on a symmetric representative.
 
+Restarts run as stacked descents.  Restart 0 (the identity) runs alone;
+then restarts [1, 8), [8, 16), ... run as one (B, n, n) stack each, in
+lockstep, every member with its own Q, M = Q* T Q, f, mu and trial loop,
+leaving the stack when its descent ends.  The matrix products and both
+eighs of an iteration run once per stack, each slice with the arithmetic
+of the one-matrix call, so every restart reaches bit for bit the residual
+it reaches alone.  No further stack runs once a restart has certified, and
+the verdict counts the restarts up to the first certified one: the same
+outcome, best residual and restart count as running the restarts one at a
+time.  A certificate from restart j >= 1 costs the rest of its stack.
+
 Verdict bands are deliberately asymmetric: UECSM requires the best residual
 at or below ORACLE_TOL; NotUECSM additionally requires a factor-10 margin
 after the full restart budget; the strip in between is Inconclusive.
@@ -68,13 +79,20 @@ and B must have distinct spectra).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, power_of_two_rescale
+from .linalg import (
+    DEFAULT_TOLERANCES,
+    ToleranceConfig,
+    as_matrix,
+    frobenius_norm,
+    power_of_two_rescale,
+)
 from .spectral import assert_distinct_spectrum
 
 ORACLE_TOL = 1e-6
@@ -106,36 +124,56 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _objective(q: np.ndarray, t: np.ndarray) -> float:
-    m = q.conj().T @ t @ q
-    a = m - m.T
-    return 0.5 * float(np.linalg.norm(a)) ** 2
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
 
 
-def _gradient(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    m = q.conj().T @ t @ q
-    a = m - m.T
-    w = q @ a.conj() @ q.conj().T
+def _orbit(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """M = Q* T Q for one Q or a (B, n, n) stack."""
+    return _adjoint(q) @ t @ q
+
+
+def _objective(q: np.ndarray, t: np.ndarray,
+               m: np.ndarray | None = None) -> float | list[float]:
+    """h(Q) = ||M - M^t||_F^2 / 2: a float for one Q, a list with one value
+    per matrix for a stack.  m is M = Q* T Q when the caller has formed it."""
+    if m is None:
+        m = _orbit(q, t)
+    norms = frobenius_norm(m - m.swapaxes(-1, -2)).tolist()
+    if m.ndim == 2:
+        return 0.5 * norms ** 2
+    return [0.5 * x ** 2 for x in norms]
+
+
+def _gradient(q: np.ndarray, t: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+    """G of the module docstring, for one Q or a stack; m as in _objective."""
+    if m is None:
+        m = _orbit(q, t)
+    a = m - m.swapaxes(-1, -2)
+    w = q @ a.conj() @ _adjoint(q)
     p = w @ t - t @ w
-    return p - p.conj().T
+    return p - _adjoint(p)
 
 
 def _expm_skew(g: np.ndarray) -> np.ndarray:
-    """exp(g) for skew-Hermitian g via the Hermitian eigendecomposition of ig."""
+    """exp(g) for skew-Hermitian g, or a stack of them, via the Hermitian
+    eigendecomposition of ig."""
     w, vec = np.linalg.eigh(1j * g)
-    return (vec * np.exp(-1j * w)) @ vec.conj().T
+    return (vec * np.exp(-1j * w)[..., None, :]) @ _adjoint(vec)
 
 
 @lru_cache(maxsize=16)
 def _basis(n: int) -> tuple[np.ndarray, ...]:
     """Read-only index arrays for the basis B_l = i (E_jk + E_kj), j <= k.
 
-    Returns (pos, weight, j, k, eye, left, right).  X = sum_l x_l B_l is
+    Returns (pos, weight, j, k, eye, gather).  X = sum_l x_l B_l is
     x[pos] * weight, with weight i off the diagonal and 2i on it; (j, k) are
-    triu_indices(n) and eye the flattened identity.  left and right are
-    flat indices into the stacks [I, conj(M)] and [R, M] that gather the
-    four terms of tr(Y_l U Y_m V) = U_kj' V_k'j + U_kk' V_j'j + U_jj' V_k'k
-    + U_jk' V_j'k for Y_l = E_jk + E_kj and Y_m = E_j'k' + E_k'j'.
+    triu_indices(n) and eye the flattened identity as a column.  gather
+    indexes the flattened products u_a v_c of the halves of the stacks
+    u = [I, conj(M)] and v = [R, M], each half with its own, for the four
+    terms of tr(Y_l U Y_m V) = U_kj' V_k'j + U_kk' V_j'j + U_jj' V_k'k
+    + U_jk' V_j'k, Y_l = E_jk + E_kj and Y_m = E_j'k' + E_k'j': for each
+    term in turn, the I-R product and then the conj(M)-M product.
     """
     j, k = np.triu_indices(n)
     pos = np.zeros((n, n), dtype=np.intp)
@@ -143,34 +181,45 @@ def _basis(n: int) -> tuple[np.ndarray, ...]:
     weight = np.where(np.eye(n) > 0, 2j, 1j)
     first = [(k, j), (k, k), (j, j), (j, k)]
     second = [(j, k), (j, j), (k, k), (k, j)]
-    shift = np.array([0, n * n])[:, None, None]
-    left = np.concatenate([a[:, None] * n + b + shift for a, b in first])
-    right = np.concatenate([b * n + a[:, None] + shift for a, b in second])
-    out = (pos, weight, j, k, np.eye(n).ravel(), left, right)
+    half = np.array([0, n ** 4])[:, None, None]
+    gather = np.concatenate([(a[:, None] * n + b) * n * n + d * n + c[:, None] + half
+                             for (a, b), (c, d) in zip(first, second)])
+    out = (pos, weight, j, k, np.eye(n).reshape(-1, 1), gather)
     for arr in out:
         arr.flags.writeable = False
     return out
 
 
-def _newton_model(q: np.ndarray, t: np.ndarray,
-                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton_model(q: np.ndarray, t: np.ndarray, g: np.ndarray,
+                  m: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates of the gradient g and the Hessian of f(q exp X) at X = 0
-    in the basis B_l (closed form in the module docstring)."""
-    _, _, j, k, eye, left, right = _basis(q.shape[0])
-    qh = q.conj().T
+    in the basis B_l (closed form in the module docstring), for one q or a
+    stack; m as in _objective."""
+    _, _, j, k, eye, gather = _basis(q.shape[-1])
+    if m is None:
+        m = _orbit(q, t)
     # q* g q is skew-Hermitian, so Re tr((q* g q)* B_l) = 2 Im (q* g q)_jk.
-    grad = 2.0 * (qh @ g @ q).imag[j, k]
-    m = qh @ t @ q
+    # The gather of a stack comes out strided; BLAS sums a strided vector
+    # in another order, so it is made contiguous for the model's products.
+    grad = 2.0 * np.ascontiguousarray((_adjoint(q) @ g @ q).imag[..., j, k])
     mc = m.conj()
     nm = mc @ m
-    u = np.concatenate((eye, mc.ravel()))
-    v = np.concatenate(((4.0 * (nm + nm.T).real).ravel(), -8.0 * m.ravel()))
-    return grad, (u[left] * v[right]).sum(axis=0).real
+    row, col = m.shape[:-2] + (1, -1), m.shape[:-2] + (-1, 1)
+    # Each product of an I entry with an R entry and of a conj(M) entry with
+    # an M entry is formed once, then gathered into the terms, which sum in
+    # order.  Only real parts are kept; an entry of I (0 or 1) times a real
+    # R entry is exactly the real part of their complex product.
+    r = (4.0 * (nm + nm.swapaxes(-1, -2)).real).reshape(row)
+    products = np.concatenate(
+        (eye * r, (mc.reshape(col) * (-8.0 * m.reshape(row))).real),
+        axis=-2).reshape(m.shape[:-2] + (-1,))
+    return grad, np.take(products, gather, axis=-1).sum(axis=-3)
 
 
-def _descend(t: np.ndarray, q: np.ndarray, f_floor: float) -> float:
-    """Damped Newton descent on the quotient U(n)/O(n) from q; returns the
-    best objective value reached.
+def _descend(t: np.ndarray, q: np.ndarray, f_floor: float) -> list[float]:
+    """Damped Newton descent on the quotient U(n)/O(n) from each start of
+    the (B, n, n) stack q, run in lockstep; returns the best objective value
+    each start reached.
 
     Each step is q <- q exp(X), X = sum_l x_l B_l over the basis B_l =
     i (E_jk + E_kj), j <= k, with x = -(H + mu I)^-1 grad in the
@@ -179,39 +228,82 @@ def _descend(t: np.ndarray, q: np.ndarray, f_floor: float) -> float:
     starting at 1e-3 max|lambda|.  A step whose actual decrease has ratio
     rho > 0 to the model's is accepted and mu scaled by max(1/3,
     1 - (2 rho - 1)^3); otherwise mu is multiplied by 4, and after
-    _MAX_TRIES rejections the restart ends.  The descent also stops when f
-    reaches f_floor or ||g||^2 falls to the gradient floor.
+    _MAX_TRIES rejections the descent ends.  It also ends when f reaches
+    f_floor or ||g||^2 falls to the gradient floor.
+
+    Every start keeps its own q, M = q* T q, f, mu and trial loop, and
+    leaves the stack when its descent ends.  The matrix work of an
+    iteration runs once on the stack, each slice with the arithmetic of
+    the one-matrix call, and the scalar steps run in Python floats; so each
+    start reaches, bit for bit, the value it reaches alone.
     """
-    pos, weight = _basis(q.shape[0])[:2]
-    f = _objective(q, t)
+    pos, weight = _basis(t.shape[0])[:2]
     t_norm2 = float(np.linalg.norm(t)) ** 2
     grad_floor = _GRAD_FLOOR * t_norm2 ** 2
-    mu = None
+    m = _orbit(q, t)
+    f = _objective(q, t, m)
+    best = list(f)
+    live = list(range(len(f)))    # the start each row of the stack belongs to
+    mu = [None] * len(f)
+    starved = []
     for _ in range(MAX_ITERS):
-        if f <= f_floor:
-            break
-        g = _gradient(q, t)
-        if float(np.vdot(g, g).real) <= grad_floor:
-            break
-        grad, hess = _newton_model(q, t, g)
-        lam, vec = np.linalg.eigh(hess)
-        lo, scale = float(lam[0]), float(max(-lam[0], lam[-1]))
-        mu = max(1e-3 * scale if mu is None else mu, -2.0 * lo, 1e-12 * scale)
-        g_eig = vec.T @ grad
-        for _ in range(_MAX_TRIES):
-            x_eig = -g_eig / (lam + mu)
-            predicted = -float(g_eig @ x_eig + 0.5 * (lam * x_eig) @ x_eig)
-            q_try = q @ _expm_skew((vec @ x_eig)[pos] * weight)
-            f_try = _objective(q_try, t)
-            rho = (f - f_try) / predicted
-            if rho > 0.0:
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        rows = [i for i, f_i in enumerate(f) if not (f_i <= f_floor or i in starved)]
+        if len(rows) < len(live):
+            if not rows:
                 break
-            mu *= 4.0
-        else:
-            break
-        q, f = q_try, f_try
-    return f
+            q, m = q[rows], m[rows]
+            f, mu, live = ([x[i] for i in rows] for x in (f, mu, live))
+        g = _gradient(q, t, m)
+        flat = g.reshape(len(g), -1)
+        rows = [i for i, s in enumerate(np.vecdot(flat, flat).real.tolist())
+                if not s <= grad_floor]
+        if len(rows) < len(live):
+            if not rows:
+                break
+            q, m, g = q[rows], m[rows], g[rows]
+            f, mu, live = ([x[i] for i in rows] for x in (f, mu, live))
+        grad, hess = _newton_model(q, t, g, m)
+        lam, vec = np.linalg.eigh(hess)
+        for i, (lo, hi) in enumerate(zip(lam[:, 0].tolist(), lam[:, -1].tolist())):
+            scale = max(-lo, hi)
+            mu[i] = max(1e-3 * scale if mu[i] is None else mu[i], -2.0 * lo, 1e-12 * scale)
+        g_eig = np.vecmat(grad, vec)
+        trying = list(range(len(live)))
+        lam_t, g_t, vec_t, q_t = lam, g_eig, vec, q
+        q_next = None
+        for _ in range(_MAX_TRIES):
+            x_eig = -g_t / (lam_t + np.array([[mu[i]] for i in trying]))
+            linear = np.vecdot(g_t, x_eig).tolist()
+            quadratic = np.vecdot(lam_t * x_eig, x_eig).tolist()
+            q_try = q_t @ _expm_skew(np.matvec(vec_t, x_eig)[..., pos] * weight)
+            m_try = _orbit(q_try, t)
+            f_try = _objective(q_try, t, m_try)
+            took, rejected = [], []
+            for j, i in enumerate(trying):
+                predicted = -(linear[j] + 0.5 * quadratic[j])
+                rho = (f[i] - f_try[j]) / predicted
+                if rho > 0.0:
+                    mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                    f[i] = best[live[i]] = f_try[j]
+                    took.append(j)
+                else:
+                    mu[i] *= 4.0
+                    rejected.append(j)
+            if len(took) == len(live):
+                q_next, m_next = q_try, m_try
+            elif took:
+                if q_next is None:
+                    q_next, m_next = q.copy(), m.copy()
+                rows = [trying[j] for j in took]
+                q_next[rows], m_next[rows] = q_try[took], m_try[took]
+            trying = [trying[j] for j in rejected]
+            if not trying:
+                break
+            lam_t, g_t, vec_t, q_t = lam[trying], g_eig[trying], vec[trying], q[trying]
+        starved = trying
+        if q_next is not None:
+            q, m = q_next, m_next
+    return best
 
 
 def brute_force_uecsm(
@@ -221,9 +313,14 @@ def brute_force_uecsm(
 ) -> OracleVerdict:
     """Multi-start orbit descent; deterministic for a given seed.
 
-    Restart streams are spawned from one master SeedSequence, so the result
-    does not depend on how the restarts would be scheduled.  Restarts stop
-    early once one of them certifies membership.
+    Restart r starts at the identity for r = 0 and otherwise at a random
+    unitary drawn from stream r of one master SeedSequence.  Restart 0 runs
+    alone; then restarts [1, 8), [8, 16), ... below ``restarts`` run as one
+    stacked descent each, and no further stack runs once a restart has
+    certified membership.  The verdict counts the restarts up to the first
+    that certified (all of them if none did), and the best residual among
+    them, so it is the one the restarts would give run one at a time and
+    stopped at the first certificate.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -238,16 +335,18 @@ def brute_force_uecsm(
     # Aim below the certification line with margin; sqrt(2 h) / ||T|| is the
     # reported residual.
     f_floor = 0.5 * (0.5 * ORACLE_TOL * t_norm) ** 2
-    best = np.inf
-    used = 0
-    for r in range(restarts):
-        rng = np.random.default_rng(streams[r])
-        q0 = np.eye(n, dtype=np.complex128) if r == 0 else random_unitary(n, rng)
-        f = _descend(a, q0, f_floor)
-        used += 1
-        best = min(best, np.sqrt(2.0 * f) / t_norm)
+    best, used = math.inf, 0
+    cuts = sorted({0, 1, *range(8, restarts, 8), restarts})
+    for lo, hi in zip(cuts, cuts[1:]):
         if best <= ORACLE_TOL:
             break
+        q0 = np.array([np.eye(n, dtype=np.complex128) if r == 0
+                       else random_unitary(n, np.random.default_rng(streams[r]))
+                       for r in range(lo, hi)])
+        for f in _descend(a, q0, f_floor):
+            best, used = min(best, math.sqrt(2.0 * f) / t_norm), used + 1
+            if best <= ORACLE_TOL:
+                break
     if best <= ORACLE_TOL:
         outcome = OracleOutcome.UECSM
     elif best > NOT_UECSM_MARGIN * ORACLE_TOL:

@@ -221,6 +221,20 @@ class TestSmallDimensions:
             done += 1
 
 
+class TestStackReportArrays:
+    def test_arrays_compare_with_members(self):
+        # A member converts to its value, so an array of values compares
+        # equal to the member and np.full of a member holds the value.
+        rng = np.random.default_rng(27)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        reports = classify(np.array([g + g.T, g, np.diag([1.0, 1.0, 2.0])]))
+        assert (reports.final == FinalVerdict.UECSM).tolist() == [True, False, False]
+        assert (reports.final == FinalVerdict.NOT_APPLICABLE).tolist() == [False, False, True]
+        assert (reports.outcomes[:, 2] == Outcome.NOT_APPLICABLE).all()
+        assert np.full(3, Outcome.PASS).tolist() == ["Pass"] * 3
+        assert str(FinalVerdict.NOT_UECSM) == f"{FinalVerdict.NOT_UECSM}" == "NotUECSM"
+
+
 class TestNotApplicableReports:
     def test_repeated_spectrum(self):
         report = classify(np.diag([1.0, 1.0, 2.0]))

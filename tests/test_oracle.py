@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import uecsm.oracle as oracle
-from uecsm.fixtures import TABLE2, TABLE3, family_member
+from uecsm.fixtures import TABLE1, TABLE2, TABLE3, family_member
 from uecsm.linalg import power_of_two_rescale
 from uecsm.oracle import (
     ORACLE_TOL,
@@ -202,7 +202,7 @@ class TestBruteForce:
         t = TABLE2[1].matrix()
         t_norm = np.linalg.norm(power_of_two_rescale(t)[0])
         f = 0.5 * (3e-6 * t_norm) ** 2
-        monkeypatch.setattr(oracle, "_descend", lambda a, q, f_floor: f)
+        monkeypatch.setattr(oracle, "_descend", lambda a, q, f_floor: [f] * len(q))
         verdict = brute_force_uecsm(t, restarts=5)
         assert verdict.outcome is OracleOutcome.INCONCLUSIVE
         assert verdict.restarts_used == 5
@@ -213,19 +213,69 @@ class TestBruteForce:
         # rejected; the restart ends after _MAX_TRIES of them at the start.
         rng = np.random.default_rng(17)
         t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        q = random_unitary(4, rng)
-        start = _objective(q, t)
+        q = random_unitary(4, rng)[None]
+        start = _objective(q[0], t)
         trials = []
 
         def expm(g):
             trials.append(g)
             return _expm_skew(g)
 
-        monkeypatch.setattr(oracle, "_objective",
-                            lambda p, a: start if p is q else np.inf)
+        monkeypatch.setattr(oracle, "_objective", lambda p, a, m=None:
+                            [start if p is q else np.inf] * len(p))
         monkeypatch.setattr(oracle, "_expm_skew", expm)
-        assert oracle._descend(t, q, 0.0) == start
+        assert oracle._descend(t, q, 0.0) == [start]
         assert len(trials) == oracle._MAX_TRIES
+
+    def test_starved_member_leaves_the_others_alone(self, monkeypatch):
+        # Member 0 starts at 2 U: every trial point q exp(X) keeps its
+        # Frobenius norm 4, where member 1's keep 2, so a stub can reject
+        # exactly member 0's steps.  It stops after _MAX_TRIES of them, and
+        # member 1 ends where it ends alone.
+        rng = np.random.default_rng(24)
+        t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        q = np.array([2.0 * random_unitary(4, rng), random_unitary(4, rng)])
+        alone = oracle._descend(t, q[1:], 0.0)
+        objective = oracle._objective
+        start = objective(q[0], t)
+        starved = []
+
+        def rejecting(p, a, m=None):
+            f = objective(p, a, m)
+            if p is q:
+                return f
+            big = np.linalg.norm(p, axis=(1, 2)) > 3.0
+            starved.append(int(big.sum()))
+            return [np.inf if b else f_b for b, f_b in zip(big, f)]
+
+        monkeypatch.setattr(oracle, "_objective", rejecting)
+        assert oracle._descend(t, q, 0.0) == [start, alone[0]]
+        assert sum(starved) == oracle._MAX_TRIES
+
+    def test_restart_schedule(self, monkeypatch):
+        # Restart 0 runs alone, then stacks [1, 8), [8, 16), ...; restart 10
+        # certifies first, so the stack [8, 16) is the last to run, and the
+        # lower residual of restart 12 after it does not count.
+        t = TABLE2[1].matrix()
+        t_norm = np.linalg.norm(power_of_two_rescale(t)[0])
+        residuals = [1e-3] * 32
+        residuals[10], residuals[12] = 1e-8, 1e-9
+        stacks = []
+
+        def descend(a, q, f_floor):
+            lo = sum(stacks)
+            stacks.append(len(q))
+            return [0.5 * (x * t_norm) ** 2 for x in residuals[lo:lo + len(q)]]
+
+        monkeypatch.setattr(oracle, "_descend", descend)
+        verdict = brute_force_uecsm(t, restarts=32)
+        assert stacks == [1, 7, 8]
+        assert verdict.outcome is OracleOutcome.UECSM
+        assert verdict.restarts_used == 11
+        assert verdict.best_residual == pytest.approx(1e-8, rel=1e-12)
+        stacks.clear()
+        assert brute_force_uecsm(t, restarts=9).restarts_used == 9
+        assert stacks == [1, 7, 1]
 
     def test_residual_scale_invariance(self):
         # The reported residual is relative, so scaling T should not change
@@ -238,13 +288,14 @@ class TestBruteForce:
 
 
 def count_gradient_calls(monkeypatch):
-    """Wrap oracle._gradient; the returned list holds the running count."""
+    """Wrap oracle._gradient; the returned list holds the running count of
+    gradients, one per member of a stack."""
     calls = [0]
     gradient = oracle._gradient
 
-    def counted(q, t):
-        calls[0] += 1
-        return gradient(q, t)
+    def counted(q, t, m=None):
+        calls[0] += len(q) if q.ndim == 3 else 1
+        return gradient(q, t, m)
 
     monkeypatch.setattr(oracle, "_gradient", counted)
     return calls
@@ -272,6 +323,67 @@ class TestDescentBudget:
                 verdict = brute_force_uecsm(t, restarts=8, seed=0)
                 assert verdict.outcome is OracleOutcome.NOT_UECSM
         assert calls[0] < 1600
+
+
+def ginibre(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+# (input, restarts, outcome, best_residual.hex(), restarts_used) as the
+# restarts gave them run one at a time, before they ran as stacks (seed 7).
+# Table 1 rows 1 and 3 are real, so the identity start cannot move and
+# restart 1 certifies; the 32-restart refutations cross four stacks.  The
+# hex values are the rounding of numpy 2.4.6 with its bundled OpenBLAS
+# 0.3.31 on x86-64; another BLAS build may differ in the last bits.
+PINNED = [
+    ("ginibre-4", 8, "NotUECSM", "0x1.698daffb9cfc3p-2", 8),
+    ("ginibre-4", 32, "NotUECSM", "0x1.698daffb9cfacp-2", 32),
+    ("ginibre-5", 8, "NotUECSM", "0x1.2f8931f4ce719p-2", 8),
+    ("ginibre-5", 32, "NotUECSM", "0x1.2f8931f4ce709p-2", 32),
+    ("constructed-5", 8, "UECSM", "0x1.56d5e07534aecp-28", 1),
+    ("constructed-5", 32, "UECSM", "0x1.56d5e07534aecp-28", 1),
+    ("table1-row1", 8, "UECSM", "0x1.96e57a8bb17fdp-27", 2),
+    ("table1-row1", 32, "UECSM", "0x1.96e57a8bb17fdp-27", 2),
+    ("table2-row2", 8, "NotUECSM", "0x1.43d1362484901p-1", 8),
+    ("table2-row2", 32, "NotUECSM", "0x1.43d13624848f2p-1", 32),
+    ("table1-row3", 8, "UECSM", "0x1.79bb8515172dbp-25", 2),
+    ("table1-row3", 32, "UECSM", "0x1.79bb8515172dbp-25", 2),
+]
+
+PINNED_INPUTS = {
+    "ginibre-4": lambda: ginibre(4, 41),
+    "ginibre-5": lambda: ginibre(5, 42),
+    "constructed-5": lambda: constructed_uecsm(5, np.random.default_rng(43)),
+    "table1-row1": TABLE1[0].matrix,
+    "table2-row2": TABLE2[1].matrix,
+    "table1-row3": TABLE1[2].matrix,
+}
+
+
+class TestStackedDescent:
+    @pytest.mark.parametrize("name, restarts, outcome, residual, used", PINNED,
+                             ids=[f"{p[0]}-{p[1]}" for p in PINNED])
+    def test_verdict_bit_identical_to_one_restart_at_a_time(
+            self, name, restarts, outcome, residual, used):
+        verdict = brute_force_uecsm(PINNED_INPUTS[name](), restarts=restarts, seed=7)
+        assert verdict.outcome.value == outcome
+        assert verdict.best_residual.hex() == residual
+        assert verdict.restarts_used == used
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_each_member_ends_where_it_ends_alone(self, n):
+        # Every start, stacked with others, reaches bit for bit the value it
+        # reaches as a stack of one, whenever its neighbours stop.
+        rng = np.random.default_rng(60 + n)
+        for t in (ginibre(n, 70 + n), constructed_uecsm(n, rng)):
+            t = power_of_two_rescale(t)[0]
+            q = np.array([np.eye(n, dtype=np.complex128)]
+                         + [random_unitary(n, rng) for _ in range(6)])
+            f_floor = 0.5 * (0.5 * ORACLE_TOL * np.linalg.norm(t)) ** 2
+            stacked = oracle._descend(t, q, f_floor)
+            assert stacked == [oracle._descend(t, q[b:b + 1], f_floor)[0]
+                               for b in range(len(q))]
 
 
 class TestInvariance:
