@@ -146,7 +146,10 @@ def eigenvalues(m) -> np.ndarray:
 def eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs from one LAPACK ``eig``, sorted as ``eigenvalues`` sorts them.
     Column i of each eigenvector matrix belongs to eigenvalue i, and each
-    matrix is stored column by column (Fortran order)."""
+    matrix is stored column by column (Fortran order), as LAPACK returns
+    it: the products downstream (``inv``, the residuals, V* U) then sum in
+    the order they always have, where a C-order gather changes witnesses
+    at n >= 8."""
     lam, vec = _lapack(np.linalg.eig, m)
     order = lam.argsort(kind="stable")
     if lam.ndim == 1:

@@ -240,6 +240,7 @@ def _descend(t: np.ndarray, q: np.ndarray, f_floor: float) -> list[float]:
     pos, weight = _basis(t.shape[0])[:2]
     t_norm2 = float(np.linalg.norm(t)) ** 2
     grad_floor = _GRAD_FLOOR * t_norm2 ** 2
+    q = q.copy()    # accepted trial rows are written into q in place
     m = _orbit(q, t)
     f = _objective(q, t, m)
     best = list(f)
@@ -270,7 +271,6 @@ def _descend(t: np.ndarray, q: np.ndarray, f_floor: float) -> list[float]:
         g_eig = np.vecmat(grad, vec)
         trying = list(range(len(live)))
         lam_t, g_t, vec_t, q_t = lam, g_eig, vec, q
-        q_next = None
         for _ in range(_MAX_TRIES):
             x_eig = -g_t / (lam_t + np.array([[mu[i]] for i in trying]))
             linear = np.vecdot(g_t, x_eig).tolist()
@@ -290,19 +290,15 @@ def _descend(t: np.ndarray, q: np.ndarray, f_floor: float) -> list[float]:
                     mu[i] *= 4.0
                     rejected.append(j)
             if len(took) == len(live):
-                q_next, m_next = q_try, m_try
+                q, m = q_try, m_try
             elif took:
-                if q_next is None:
-                    q_next, m_next = q.copy(), m.copy()
                 rows = [trying[j] for j in took]
-                q_next[rows], m_next[rows] = q_try[took], m_try[took]
+                q[rows], m[rows] = q_try[took], m_try[took]
             trying = [trying[j] for j in rejected]
             if not trying:
                 break
             lam_t, g_t, vec_t, q_t = lam[trying], g_eig[trying], vec[trying], q[trying]
         starved = trying
-        if q_next is not None:
-            q, m = q_next, m_next
     return best
 
 

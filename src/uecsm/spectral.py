@@ -24,8 +24,9 @@ is phase-invariant or covariant in a controlled way, and tested for it.
 Each matrix's paired data depends on that matrix alone, so a (B, n, n)
 stack runs as one: one LAPACK call per step for the whole stack, array
 reductions per row, and per-row rules (the gap, the adjoint pairing, the
-e_i floor) that drop a NotApplicable member before the next step.  One
-matrix is a stack of one.
+e_i floor) that drop a NotApplicable member before the next step.  The
+adjoint pairing fails by the offset of a match alone.  One matrix is a
+stack of one.
 """
 
 from __future__ import annotations
@@ -170,25 +171,27 @@ def _gap_rule(lam, threshold, exponent) -> list[NotApplicable | None]:
     return verdicts
 
 
-def _pair_adjoint(lam, mu, half_gap) -> tuple[np.ndarray, list[tuple[int, float] | None]]:
+def _pair_adjoint(lam, mu, half_gap, exponent) -> tuple[np.ndarray, list[NotApplicable | None]]:
     """Pair each conj(lambda_i) with its nearest adjoint eigenvalue
-    ``mu[matched[i]]``, row by row of (B, n) ``lam`` and ``mu`` with one
-    ``half_gap`` per row: ``(matched, failures)``, failures[b] being None or
-    ``(i, offset)`` for the first i of row b whose match lies past
-    half_gap[b] or was taken by an earlier i.  With a certifiably separated
+    ``shifts[:, i]``, row by row of (B, n) ``lam`` and ``mu`` with one
+    ``half_gap`` and one exponent per row: ``(shifts, found)``, found[b]
+    being None or the NotApplicable of the first i of row b whose match lies
+    past half_gap[b], by that offset alone.  With a certifiably separated
     spectrum the match sits at distance ~eps * kappa * ||t||; a failure
     means the two runs disagree about where the eigenvalues are."""
     dist = np.abs(mu[:, None, :] - np.conj(lam)[:, :, None])
-    matched = dist.argmin(axis=-1)
+    shifts = mu[np.arange(len(mu))[:, None], dist.argmin(axis=-1)]
     offset = dist.min(axis=-1)
-    first = (matched[:, :, None] == matched[:, None, :]).argmax(axis=-1)
-    taken = first < np.arange(lam.shape[-1])    # an earlier i has the same match
-    failed = (offset > half_gap[:, None]) | taken
-    failures = [None] * len(lam)
+    failed = offset > half_gap[:, None]
+    found = [None] * len(lam)
     for b in np.flatnonzero(failed.any(axis=-1)).tolist():
         i = int(failed[b].argmax())
-        failures[b] = (i, float(offset[b, i]))
-    return matched, failures
+        found[b] = NotApplicable(
+            reason="adjoint spectrum does not pair with conjugated eigenvalues "
+                   f"(offset {np.ldexp(offset[b, i], exponent[b]):.3e} at index {i + 1}); "
+                   "spectrum effectively degenerate at working precision",
+        )
+    return shifts, found
 
 
 def compute_spectral_data(
@@ -253,15 +256,10 @@ def _paired_eigensystems(a, exponent, cfg: ToleranceConfig
 
     a_star = a.conj().swapaxes(-1, -2)
     mu = eigenvalues(a_star)
-    matched, unpaired = _pair_adjoint(lam, mu, 0.5 * cfg.eig_gap_tol * scale)
-    if any(unpaired):
-        found = [None if f is None else NotApplicable(
-            reason="adjoint spectrum does not pair with conjugated eigenvalues "
-                   f"(offset {np.ldexp(f[1], e):.3e} at index {f[0] + 1}); "
-                   "spectrum effectively degenerate at working precision",
-        ) for f, e in zip(unpaired, exponent.tolist())]
-        a, a_star, lam, u, scale, exponent, mu, matched = drop(
-            found, a, a_star, lam, u, scale, exponent, mu, matched)
+    shifts, found = _pair_adjoint(lam, mu, 0.5 * cfg.eig_gap_tol * scale, exponent)
+    if any(found):
+        a, a_star, lam, u, scale, exponent, shifts = drop(
+            found, a, a_star, lam, u, scale, exponent, shifts)
     if not len(rows):
         return _no_data(a.shape[-1]), tuple(skipped)
 
@@ -270,8 +268,7 @@ def _paired_eigensystems(a, exponent, cfg: ToleranceConfig
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdownError(f"eigenvector matrix is singular: {exc}") from exc
     u = unit_eigenvector(a, lam, cfg, start=u, scale=scale)
-    v = unit_eigenvector(a_star, mu[np.arange(len(mu))[:, None], matched], cfg,
-                         start=left, scale=scale)
+    v = unit_eigenvector(a_star, shifts, cfg, start=left, scale=scale)
 
     e = v.conj().swapaxes(-1, -2) @ u
     n = e.shape[-1]

@@ -222,7 +222,7 @@ class TestBruteForce:
             return _expm_skew(g)
 
         monkeypatch.setattr(oracle, "_objective", lambda p, a, m=None:
-                            [start if p is q else np.inf] * len(p))
+                            [start if np.array_equal(p, q) else np.inf] * len(p))
         monkeypatch.setattr(oracle, "_expm_skew", expm)
         assert oracle._descend(t, q, 0.0) == [start]
         assert len(trials) == oracle._MAX_TRIES
@@ -242,15 +242,18 @@ class TestBruteForce:
 
         def rejecting(p, a, m=None):
             f = objective(p, a, m)
-            if p is q:
+            if np.array_equal(p, q):
                 return f
             big = np.linalg.norm(p, axis=(1, 2)) > 3.0
             starved.append(int(big.sum()))
             return [np.inf if b else f_b for b, f_b in zip(big, f)]
 
         monkeypatch.setattr(oracle, "_objective", rejecting)
+        before = q.copy()
         assert oracle._descend(t, q, 0.0) == [start, alone[0]]
         assert sum(starved) == oracle._MAX_TRIES
+        # Member 1's accepted steps are written into _descend's own copy.
+        assert np.array_equal(q, before)
 
     def test_restart_schedule(self, monkeypatch):
         # Restart 0 runs alone, then stacks [1, 8), [8, 16), ...; restart 10

@@ -7,6 +7,8 @@ across workers; hit lists come back ordered by candidate index.
 
 import concurrent.futures
 import hashlib
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import uecsm.criteria as criteria
 import uecsm.search as search
 from uecsm.criteria import FinalVerdict, classify
 from uecsm.fixtures import find_fixture
-from uecsm.linalg import DEFAULT_TOLERANCES, EigenSolverError
+from uecsm.linalg import DEFAULT_TOLERANCES, EigenSolverError, LinearAlgebraError
 from uecsm.search import SearchResult, _hits, _reports, candidate_matrix, run_search
 
 
@@ -112,6 +114,29 @@ class TestHitPredicate:
 
     def test_necessary_failure_is_not(self):
         assert is_hit(find_fixture("necessary-tests-fail").matrix()) is False
+
+
+class TestSignGrid:
+    def test_every_tenth_matrix_is_pinned(self):
+        # Every 10th matrix of the 3x3 grid with entries in {-1, 0, 1}, in
+        # itertools.product order: exactly repeated integer spectra end as
+        # NotApplicable, by the gap or the adjoint pairing, or as breakdowns.
+        grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=9)))
+        grid = grid[::10].reshape(-1, 3, 3)
+        final, outcomes = _reports(grid, 0, DEFAULT_TOLERANCES)
+        assert Counter(final.tolist()) == {
+            FinalVerdict.NOT_APPLICABLE.value: 431, FinalVerdict.UECSM.value: 566,
+            FinalVerdict.NOT_UECSM.value: 952, "": 20}
+        assert not _hits(outcomes).any()
+        rules = Counter(classify(t).not_applicable.reason.split()[0]
+                        for t in grid[final == FinalVerdict.NOT_APPLICABLE.value])
+        assert rules == {"repeated": 374, "adjoint": 57}
+        errors = Counter()
+        for t in grid[final == ""]:
+            with pytest.raises(LinearAlgebraError) as info:
+                classify(t)
+            errors[type(info.value).__name__] += 1
+        assert errors == {"EigenSolverError": 19, "NumericalBreakdownError": 1}
 
 
 class TestRunSearch:
