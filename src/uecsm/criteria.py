@@ -284,10 +284,10 @@ def classify(
             verdicts=verdicts, spectrum=found.lambdas,
             certificate=_certificate(t, found, cfg) if uecsm else None)
     sd, skipped = found
-    verdicts = _verdicts(sd, cfg) if len(sd.lambdas) else ()
+    verdicts = _verdicts(sd, cfg)
     members = [b for b, na in enumerate(skipped) if na is None]
     certificates = {k: _certificate(t[members[k]], sd.member(k), cfg)
-                    for k in np.flatnonzero(verdicts[-1].passed).tolist()} if verdicts else {}
+                    for k in np.flatnonzero(verdicts[-1].passed).tolist()}
     return StackReports(skipped, sd, verdicts, certificates)
 
 
@@ -309,12 +309,10 @@ class StackReports(Sequence):
         self._rows = np.cumsum(applicable) - 1    # row of member b in sd and verdicts
         self.final = np.full(len(skipped), FinalVerdict.NOT_APPLICABLE.value)
         self.outcomes = np.full((len(TEST_KINDS), len(skipped)), Outcome.NOT_APPLICABLE.value)
-        if verdicts:
-            passed = np.array([v.passed for v in verdicts])
-            self.outcomes[:, applicable] = np.where(passed, Outcome.PASS.value,
-                                                    Outcome.FAIL.value)
-            self.final[applicable] = np.where(passed[-1], FinalVerdict.UECSM.value,
-                                              FinalVerdict.NOT_UECSM.value)
+        passed = np.array([v.passed for v in verdicts])
+        self.outcomes[:, applicable] = np.where(passed, Outcome.PASS.value, Outcome.FAIL.value)
+        self.final[applicable] = np.where(passed[-1], FinalVerdict.UECSM.value,
+                                          FinalVerdict.NOT_UECSM.value)
         self.final.flags.writeable = self.outcomes.flags.writeable = False
 
     def __len__(self) -> int:

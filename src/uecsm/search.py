@@ -3,12 +3,12 @@
 A *hit* is a matrix with distinct eigenvalues that passes Angle, Grammian
 and Parallelepiped while failing StrongAngle -- the situation where the
 cheap necessary tests are collectively blind.  Integer matrices are drawn
-entrywise uniformly; candidate ``i`` comes from its own Philox stream keyed
-by ``(seed, i)``, so the stream of candidates is reproducible and identical
-no matter how the index range is split across workers.  A block of
-candidates is computed at once from the raw words of those streams by
-numpy's own bounded-integer rule, so each candidate is what numpy's
-``integers`` draws.  Hit lists are canonicalized by candidate index.
+entrywise, each value of the range with a probability within 2**-64 of
+uniform, from the raw words of one counter-based generator,
+``Philox(key=seed)``: candidate ``i`` reads its own range of counter steps,
+so the stream of candidates is reproducible and identical no matter how the
+index range is split across workers, and a block of candidates is one
+``advance`` and one draw.  Hit lists are canonicalized by candidate index.
 
 Candidates are decided in blocks, one stacked ``classify`` call per block;
 a planted candidate is a block of one.  The counts and the hits come from
@@ -58,46 +58,35 @@ class SearchResult:
 def candidate_matrix(seed: int, index: int | range, dim: int,
                      entry_low: int, entry_high: int) -> np.ndarray:
     """The ``index``-th integer candidate of the stream keyed by ``seed``; for
-    a ``range`` of indices, the (len(index), dim, dim) stack of them.
+    a ``range`` of consecutive indices, the (len(index), dim, dim) stack of
+    them.
 
-    Candidate i is what ``Generator(Philox(key=(seed, i))).integers(entry_low,
-    entry_high + 1, size=(dim, dim))`` draws.  One Philox generator serves
-    the whole call: its state is reset to that key for each index, which
-    draws the same numbers as a fresh one without seeding one per candidate.
-    Numpy draws an entry from a range narrower than 2**32 by Lemire's
-    multiply-shift on one 32-bit half of a 64-bit word, low half first, and
-    rejects the half if the product's low word falls below a threshold.  So
-    the candidates are computed from the raw words of the whole block at
-    once, and a candidate with a rejected half, or any range of 2**32 values
-    or more, is drawn by ``integers`` itself.
+    The stream is the raw 64-bit words of ``Philox(key=seed)``, four per
+    counter step.  Candidate i reads the first dim**2 words of counter steps
+    [i*s, (i+1)*s), s = ceil(dim**2 / 4), row by row, and maps each word w
+    to ``entry_low + w * R // 2**64``, R = entry_high - entry_low + 1
+    (Lemire's multiply-high with no rejection step, so each value has a
+    probability within 2**-64 of 1 / R).  A block costs one generator, one
+    ``advance`` and one draw, and gives the same candidates however the
+    index range is cut.
     """
-    indices = index if isinstance(index, range) else (index,)
-    bits = np.random.Philox(0)
-    key = np.array([seed, 0], dtype=np.uint64)
-    state = {**bits.state, "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key}}
-
-    def reset(i):
-        key[1] = i
-        bits.state = state    # counter 0 and an empty buffer, as Philox(0) starts
-
-    span = entry_high - entry_low    # the range holds span + 1 values
+    indices = index if isinstance(index, range) else range(index, index + 1)
+    if indices.step != 1:
+        raise ValueError("candidate indices must be consecutive")
     size = dim * dim
-    out = np.empty((len(indices), dim, dim), dtype=np.complex128)
-    redraw = range(len(indices))
-    if span < 0xFFFFFFFF:
-        words = np.empty((len(indices), (size + 1) // 2), dtype=np.uint64)
-        for k, i in enumerate(indices):
-            reset(i)
-            words[k] = bits.random_raw(words.shape[1])
-        halves = np.stack((words & 0xFFFFFFFF, words >> 32), axis=-1)
-        m = halves.reshape(len(indices), -1)[:, :size] * np.uint64(span + 1)
-        out[...] = (entry_low + (m >> 32).astype(np.int64)).reshape(out.shape)
-        threshold = (0xFFFFFFFF - span) % (span + 1)
-        redraw = np.flatnonzero(((m & 0xFFFFFFFF) < threshold).any(axis=-1)).tolist()
-    rng = np.random.Generator(bits)
-    for k in redraw:
-        reset(indices[k])
-        out[k] = rng.integers(entry_low, entry_high + 1, size=(dim, dim))
+    steps = -(-size // 4)
+    bits = np.random.Philox(key=seed)
+    bits.advance(indices.start * steps)
+    w = bits.random_raw(len(indices) * steps * 4).reshape(len(indices), steps * 4)[:, :size]
+    # w * R = w * span + w.  The high word of w * span comes from 32-bit
+    # limbs, and the low word wraps past 2**64 exactly when w * R carries.
+    span = np.uint64(entry_high - entry_low)
+    a0, a1, b0, b1 = w & 0xFFFFFFFF, w >> 32, span & 0xFFFFFFFF, span >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)
+    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    draws = high + (w * span + w < w) + np.uint64(entry_low % 2**64)
+    out = draws.view(np.int64).astype(np.complex128).reshape(len(indices), dim, dim)
     return out if isinstance(index, range) else out[0]
 
 
@@ -182,9 +171,10 @@ def run_search(
     blocks of at most ``_BLOCK_ENTRIES`` matrix entries, one stacked
     ``classify`` per block, and a block that raises is decided again in
     halves down to stacks of one, so the counts equal those of one call per
-    candidate.  Planted candidates are blocks of one.  ``seed`` and the
-    candidate index key the Philox stream, whose key words are 64 bits wide,
-    so ``count`` is at most 2**64.
+    candidate.  Planted candidates are blocks of one.  ``seed`` is the
+    Philox key, below 2**64, and the candidate index picks a counter range
+    (see ``candidate_matrix``); ``count`` is at most 2**64, so every index
+    fits one 64-bit word.
     """
     if not 0 <= count <= 2**64:
         raise ValueError("count must be nonnegative and at most 2**64")

@@ -39,7 +39,6 @@ from uecsm.fixtures import (
 )
 from uecsm.conjugation import build_beta
 from uecsm.oracle import random_unitary
-from uecsm.search import candidate_matrix
 from uecsm.spectral import SpectralData, assert_distinct_spectrum, compute_spectral_data
 
 
@@ -179,13 +178,18 @@ class TestCounterexample:
         assert np.linalg.matrix_rank(beta.entries) == 4
 
 
+# An input the search once drew as candidate 2197 of seed 0, written out so
+# that a change to the candidate stream cannot swap it: np.abs rounds |det U|
+# of it one ulp away from abs(complex).
+CANDIDATE_2197 = np.array([[3, 8, 0], [-8, -3, 0], [-4, -3, 4]], dtype=np.complex128)
+
+
 class TestTableOne:
     @pytest.mark.parametrize("fx", TABLE1, ids=lambda fx: fx.label)
     def test_published_verdicts(self, fx):
         assert classify(fx.matrix()).final.value == fx.expected_final
 
-    @pytest.mark.parametrize("t", [*(fx.matrix() for fx in TABLE1),
-                                   candidate_matrix(0, 2197, 3, -9, 9)],
+    @pytest.mark.parametrize("t", [*(fx.matrix() for fx in TABLE1), CANDIDATE_2197],
                              ids=[*(fx.label for fx in TABLE1), "candidate-2197"])
     def test_parallelepiped_volumes_round_like_complex_abs(self, t):
         # np.abs on complex128 can differ from abs(complex) in the last bit,
@@ -194,6 +198,10 @@ class TestTableOne:
         w = parallelepiped_test(sd).witness
         assert w.left == abs(complex(np.linalg.det(sd.u_basis)))
         assert w.right == abs(complex(np.linalg.det(sd.v_basis)))
+
+    def test_candidate_2197_rounds_apart_under_np_abs(self):
+        det = np.linalg.det(compute_spectral_data(CANDIDATE_2197).u_basis)
+        assert np.abs(det) != abs(complex(det))
 
 
 class TestSmallDimensions:
@@ -233,6 +241,15 @@ class TestStackReportArrays:
         assert (reports.outcomes[:, 2] == Outcome.NOT_APPLICABLE).all()
         assert np.full(3, Outcome.PASS).tolist() == ["Pass"] * 3
         assert str(FinalVerdict.NOT_UECSM) == f"{FinalVerdict.NOT_UECSM}" == "NotUECSM"
+
+    def test_stack_with_no_applicable_member(self):
+        # The four tests run on an empty SpectralData and leave the arrays
+        # at NotApplicable; each report is the member's own.
+        stack = np.array([np.eye(3), np.diag([1.0, 1.0, 2.0]), np.zeros((3, 3))])
+        reports = classify(stack)
+        assert (reports.final == FinalVerdict.NOT_APPLICABLE).all()
+        assert (reports.outcomes == Outcome.NOT_APPLICABLE).all()
+        assert list(reports) == [classify(t) for t in stack]
 
 
 class TestNotApplicableReports:

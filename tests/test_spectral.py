@@ -32,6 +32,15 @@ from uecsm.spectral import (
     gram_pair,
 )
 
+# Inputs the search once drew as candidates 7, 550 and 8315 of seed 0,
+# written out so that a change to the candidate stream cannot swap them.
+# 550 has an exactly repeated, defective eigenvalue and 8315 a near one:
+# the adjoint spectrum of each fails to pair.  7 is applicable.
+# test_written_out_candidates_keep_their_roles asserts these roles.
+CANDIDATE_7 = np.array([[6, 2, -9], [7, 8, -3], [8, 4, 5]], dtype=np.complex128)
+CANDIDATE_550 = np.array([[0, -9, 9], [-6, 5, 4], [0, -6, 6]], dtype=np.complex128)
+CANDIDATE_8315 = np.array([[5, 9, 7], [8, -8, -7], [-9, 3, 4]], dtype=np.complex128)
+
 
 @pytest.fixture(scope="module")
 def closed_form_data():
@@ -241,8 +250,8 @@ class TestPairAdjoint:
 class TestStack:
     @pytest.mark.parametrize("members, cfg", [
         # repeated spectrum, adjoint pairing failure, applicable
-        ([np.diag([1.0, 1.0, 2.0]), candidate_matrix(0, 550, 3, -9, 9),
-          family_member(-5), candidate_matrix(0, 7, 3, -9, 9)], DEFAULT_TOLERANCES),
+        ([np.diag([1.0, 1.0, 2.0]), CANDIDATE_550, family_member(-5), CANDIDATE_7],
+         DEFAULT_TOLERANCES),
         # repeated spectrum, applicable, collapsed min |<u_i, v_i>|, applicable
         ([np.diag([1.0, 1.0, 2.0, 3.0, 4.0]), np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + 0.5j,
           np.diag([0.0, 0.01, 0.02, 0.03, 0.04]) + np.diag(np.ones(4), 1),
@@ -299,7 +308,7 @@ class TestNotApplicable:
         assert verdict.reason
 
     @pytest.mark.parametrize("t", [
-        *(candidate_matrix(0, i, 3, -9, 9) for i in (550, 8315)),
+        CANDIDATE_550, CANDIDATE_8315,
         *(find_fixture(label).matrix() for label in ("table2-row3", "table3-row4")),
         family_member(-5),
     ], ids=["candidate-550", "candidate-8315", "table2-row3", "table3-row4", "paired"])
@@ -311,6 +320,12 @@ class TestNotApplicable:
         else:
             assert sd.reason.startswith("adjoint spectrum does not pair")
             assert expected in sd.reason
+
+    def test_written_out_candidates_keep_their_roles(self):
+        assert loop_pairing(CANDIDATE_550) is not None
+        assert loop_pairing(CANDIDATE_8315) is not None
+        assert loop_pairing(CANDIDATE_7) is None
+        assert isinstance(compute_spectral_data(CANDIDATE_7), SpectralData)
 
     def test_condition_collapse_detected(self):
         # Gaps of 0.01 clear eig_gap_tol, and the adjoint pairs, but a
