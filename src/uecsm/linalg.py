@@ -102,20 +102,19 @@ def complex_ldexp(z: np.ndarray, e) -> np.ndarray:
     return np.ldexp(np.ascontiguousarray(z).view(np.float64), e).view(np.complex128)
 
 
-def power_of_two_rescale(m) -> tuple[np.ndarray, int | np.ndarray]:
+def power_of_two_rescale(m) -> tuple[np.ndarray, np.integer | np.ndarray]:
     """(2**-e m, e), e the least even exponent above every |Re m_ij| and
     |Im m_ij|, so no norm of the result overflows or underflows.  LAPACK's
     shifted QR takes square roots of entries: only a power of four scales
-    eigenpairs exactly.  For a (B, n, n) stack, e is an int array with one
-    exponent per matrix.  This is the eigen pipeline's one check of its
+    eigenpairs exactly.  e is one numpy integer for one matrix, and for a
+    (B, n, n) stack an array of the B exponents each matrix gives alone.
+    It keeps ``np.frexp``'s int32: ``np.ldexp`` runs several times slower
+    on int64 exponents.  This is the eigen pipeline's one check of its
     input (``as_matrices``); the result is C-contiguous."""
     a = np.ascontiguousarray(as_matrices(m))
-    e = np.frexp(np.abs(a.view(np.float64)).max(axis=(-2, -1)))[1].astype(int)
+    e = np.frexp(np.abs(a.view(np.float64)).max(axis=(-2, -1)))[1]
     e += e % 2
-    if a.ndim == 2:
-        e = int(e)    # a Python int, as reports serialize it
-        return complex_ldexp(a, -e), e
-    return complex_ldexp(a, -e[:, None, None]), e
+    return complex_ldexp(a, -e[..., None, None]), e
 
 
 def frobenius_norm(a: np.ndarray) -> np.ndarray:
@@ -166,8 +165,9 @@ def unit_eigenvector(m, lam, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *,
     1e-12 * ||m|| so the shifted system is ill-conditioned but not singular.
     ``m`` may be a (B, n, n) stack, with ``lam`` and ``start`` stacked alike;
     ``scale`` is ||m||_F (one per matrix), computed here if not given.
-    Raises EigenSolverError if a residual stays above zero_tol * ||m||, for
-    the first matrix of a stack where one does.
+    Each matrix is refined and then checked: EigenSolverError if a residual
+    stays above zero_tol * ||m||, for the first matrix of a stack where one
+    does.
     """
     a = _square(m)
     if a.ndim == 2:
@@ -180,16 +180,14 @@ def unit_eigenvector(m, lam, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *,
     scale = (frobenius_norm(np.ascontiguousarray(a)) if scale is None
              else np.asarray(scale, dtype=np.float64)).tolist()
     residual = _column_norms(a @ x - x * lam[:, None, :])
-    worst = residual.max(axis=-1).tolist()
-    for b, (w, s) in enumerate(zip(worst, scale)):
+    for b, (w, s) in enumerate(zip(residual.max(axis=-1).tolist(), scale)):
         # Every target is at least _REFINE_FACTOR * s, so a worst residual
         # within it spares building the targets; LAPACK's vectors nearly always are.
         if not w <= _REFINE_FACTOR * s:
             target = np.maximum(_REFINE_FACTOR * s, 1e3 * np.abs(lam[b]) * _EPS)
             if not (residual[b] <= target).all():
                 _refine(a[b], lam[b], x[b], residual[b], target, s)
-                worst[b] = residual[b].max()
-    for b, (w, s) in enumerate(zip(worst, scale)):
+                w = residual[b].max()
         bound = cfg.zero_tol * s
         if not w <= bound:
             if not np.isfinite(a).all():

@@ -51,9 +51,12 @@ the objective floor and the gradient floor.
 One caveat worth keeping in mind: for real T the gradient vanishes
 identically at every real orthogonal Q -- the real locus is the fixed-point
 set of an isometric symmetry of h and hence critical -- so a descent
-started at the identity never moves on real input.  The random complex restarts are what actually explore the orbit;
-the identity start is kept only because it is free and occasionally lands
-exactly on a symmetric representative.
+started at the identity never moves on real input, and there only the
+random complex restarts explore the orbit.  On complex input the identity
+start usually certifies alone: among the first 96 inputs of perfbench's
+``oracle`` pool at seed 3101 (each a pool matrix in a random unitary
+frame), restart 0 certified all 32 constructed UECSM matrices and all 16
+UECSM fixtures.
 
 Restarts run as stacked descents.  Restart 0 (the identity) runs alone;
 then restarts [1, 8), [8, 16), ... run as one (B, n, n) stack each, in

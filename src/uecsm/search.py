@@ -68,7 +68,9 @@ def candidate_matrix(seed: int, index: int | range, dim: int,
     (Lemire's multiply-high with no rejection step, so each value has a
     probability within 2**-64 of 1 / R).  A block costs one generator, one
     ``advance`` and one draw, and gives the same candidates however the
-    index range is cut.
+    index range is cut.  The entries are complex128, which holds every
+    integer only up to 2**53 in magnitude: a range within [-2**53, 2**53]
+    gives the drawn integers exactly, a wider one rounds them.
     """
     indices = index if isinstance(index, range) else range(index, index + 1)
     if indices.step != 1:
@@ -163,7 +165,8 @@ def run_search(
     matrices (a test hook: a planted hit must be found regardless of seed),
     each checked to be square and finite before any candidate is decided.
     Entries are drawn from [entry_low, entry_high], which must lie within
-    the int64 range.
+    [-2**53, 2**53], where complex128 holds every integer, so each
+    candidate is exactly the integers drawn.
     Results are deterministic for fixed (seed, count, dim, range, inject)
     and independent of ``workers``.  The range is split into at most
     ``workers`` nonempty parts; a single part runs in this process, several
@@ -182,8 +185,8 @@ def run_search(
         raise ValueError("dim must be positive")
     if entry_low > entry_high:
         raise ValueError("entry range is empty")
-    if not (-2**63 <= entry_low and entry_high < 2**63):
-        raise ValueError("entry range must lie within [-2**63, 2**63 - 1]")
+    if not (-2**53 <= entry_low and entry_high <= 2**53):
+        raise ValueError("entry range must lie within [-2**53, 2**53]")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be nonnegative and below 2**64")
     inject = tuple(_planted(k, m) for k, m in enumerate(inject))

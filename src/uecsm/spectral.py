@@ -32,7 +32,6 @@ stack of one.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,19 +207,20 @@ def compute_spectral_data(
     biorthogonality violation, by contrast, is raised as
     NumericalBreakdownError: with a genuinely separated spectrum neither
     can happen short of solver failure.  Nothing here is random.  The work
-    is done on ``power_of_two_rescale(t)``, reported in the units of ``t``;
-    a spectrum beyond the float range in those units is a
-    NumericalBreakdownError too.
+    is done on ``power_of_two_rescale(t)``, and the spectrum is scaled back
+    once to the units of ``t``; a part of it beyond the float range there
+    is a NumericalBreakdownError too, decided on that reported spectrum.
 
     For a (B, n, n) stack the result is a pair ``(data, skipped)``:
     skipped[b] is the NotApplicable of matrix b or None, and ``data``
     stacks, in order, the SpectralData of the matrices with None.  Each is
     what ``t[b]`` alone gives, bit for bit, and the stack raises if any
-    matrix alone would.  One matrix runs as a stack of one.
+    matrix alone would, with the message of the first such matrix.  One
+    matrix runs as a stack of one.
     """
     a, exponent = power_of_two_rescale(t)
     if a.ndim == 2:
-        data, (skipped,) = _paired_eigensystems(a[None], np.array([exponent]), cfg)
+        data, (skipped,) = _paired_eigensystems(a[None], exponent[None], cfg)
         return skipped or data.member(0)
     return _paired_eigensystems(a, exponent, cfg)
 
@@ -277,14 +277,11 @@ def _paired_eigensystems(a, exponent, cfg: ToleranceConfig
     low = modulus[:, diagonal] <= cfg.zero_tol
     modulus[:, diagonal] = 0.0    # keep |<u_i, v_j>| for i != j only
     high = modulus > cfg.zero_tol
-    exponents = exponent.tolist()
-    # Rescaled entries have both parts below 1, so every eigenvalue part is
-    # below 2n; only a larger exponent can carry one beyond the float range.
-    far = max(exponents) + n.bit_length() + 1 > 1024
+    with np.errstate(over="ignore"):
+        spectrum = complex_ldexp(lam, exponent[:, None])    # in the units of T
     found = [None] * len(e)
-    if np.count_nonzero(low) or np.count_nonzero(high) or far:
-        tops = np.abs(lam.view(np.float64)).max(axis=-1).tolist()    # largest |Re|, |Im|
-        for b, (k, top) in enumerate(zip(exponents, tops)):
+    if np.count_nonzero(low) or np.count_nonzero(high) or not np.isfinite(spectrum).all():
+        for b in range(len(e)):
             if low[b].any():
                 found[b] = NotApplicable(
                     reason=f"effectively degenerate spectrum: min |<u_i, v_i>| = "
@@ -295,16 +292,14 @@ def _paired_eigensystems(a, exponent, cfg: ToleranceConfig
                 raise NumericalBreakdownError(
                     f"biorthogonality violated: max |<u_i, v_j>| = {modulus[b].max():.3e} "
                     f"for i != j exceeds zero_tol = {cfg.zero_tol:.3e}")
-            else:
-                try:
-                    math.ldexp(top, k)    # raises where np.ldexp would give inf
-                except OverflowError:
-                    raise NumericalBreakdownError(
-                        f"spectrum beyond the float range: largest eigenvalue part "
-                        f"{top:.3e} * 2**{k} overflows in the units of T") from None
+            elif not np.isfinite(spectrum[b]).all():
+                top = np.abs(lam[b].view(np.float64)).max()    # largest |Re|, |Im|
+                raise NumericalBreakdownError(
+                    f"spectrum beyond the float range: largest eigenvalue part "
+                    f"{top:.3e} * 2**{exponent[b]} overflows in the units of T")
     if any(found):
-        lam, u, v, e, exponent = drop(found, lam, u, v, e, exponent)
-    data = SpectralData(lambdas=complex_ldexp(lam, exponent[:, None]), u_basis=u, v_basis=v,
+        spectrum, u, v, e = drop(found, spectrum, u, v, e)
+    data = SpectralData(lambdas=spectrum, u_basis=u, v_basis=v,
                         e_diag=e.reshape(len(e), n * n)[:, diagonal].copy())
     return data, tuple(skipped)
 

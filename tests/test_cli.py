@@ -261,6 +261,12 @@ class TestSearch:
         assert code == EXIT_BAD_INPUT
         assert capsys.readouterr().err.startswith("error: entry range")
 
+    def test_entry_range_past_exact_integers_is_bad_input(self, tmp_path, capsys):
+        code = main(["search", "--count", "1", "--entry-range", str(2**53 + 1),
+                     str(2**53 + 1), "--out-dir", str(tmp_path)])
+        assert code == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: entry range")
+
     def test_summary_is_one_line(self, tmp_path, capsys):
         summary = tmp_path / "s.json"
         out_dir = tmp_path / "hits"

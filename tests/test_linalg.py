@@ -17,6 +17,7 @@ from uecsm.linalg import (
     as_matrix,
     eigensystem,
     eigenvalues,
+    power_of_two_rescale,
     unit_eigenvector,
 )
 
@@ -119,6 +120,21 @@ class TestUnitEigenvector:
         with pytest.raises(EigenSolverError, match="stalled"):
             unit_eigenvector(a, [1.0, 2.0 + 1e-6], start=np.eye(2))
 
+    def test_first_stalled_member_of_a_stack_raises(self):
+        # Both members stall, each with its own message: the first one's is raised.
+        a = np.array([np.diag([1.0, 2.0])] * 2)
+        lam = np.array([[1.0, 2.0 + 1e-6], [1.0 + 1e-5, 2.0]])
+        messages = []
+        for b in (0, 1):
+            with pytest.raises(EigenSolverError, match="stalled") as alone:
+                unit_eigenvector(a[b], lam[b], start=np.eye(2))
+            messages.append(str(alone.value))
+        assert messages[0] != messages[1]
+        for order in ([0, 1], [1, 0]):
+            with pytest.raises(EigenSolverError) as stacked:
+                unit_eigenvector(a[order], lam[order], start=np.array([np.eye(2)] * 2))
+            assert str(stacked.value) == messages[order[0]]
+
     def test_zero_matrix_at_zero_eigenvalue(self):
         x = unit_eigenvector(np.zeros((1, 1)), [0.0], start=[[2.0]])
         assert np.linalg.norm(x) == pytest.approx(1.0)
@@ -131,6 +147,27 @@ class TestUnitEigenvector:
         a = np.diag([1.0, 2.0])
         with pytest.raises(EigenSolverError):
             unit_eigenvector(a, [1.0, 1000.0], start=np.eye(2))
+
+
+class TestPowerOfTwoRescale:
+    def test_each_member_as_alone(self):
+        # Zero, subnormal, 1e307-scale and ordinary matrices in one stack.
+        stack = np.array([
+            np.zeros((2, 2)),
+            [[5e-324, 0], [-1e-320j, 0]],
+            [[1e-310 + 3e-309j, 1], [0, -2e-310]],
+            [[1e307, -4e307j], [1.5e308, 1e307 + 1e307j]],
+            [[1.7e308, 0], [0, 1.7e308j]],
+            [[0.75, -3], [2j, 1]],
+        ], dtype=np.complex128)
+        a, e = power_of_two_rescale(stack)
+        assert e.shape == (len(stack),)
+        for b, t in enumerate(stack):
+            a_b, e_b = power_of_two_rescale(t)
+            assert isinstance(e_b, np.integer) and e_b % 2 == 0
+            assert e[b] == e_b
+            assert a[b].tobytes() == a_b.tobytes()
+            assert np.abs(a_b.view(np.float64)).max() < 1.0
 
 
 class TestHelpers:

@@ -350,14 +350,26 @@ class TestRunSearch:
         {"count": 0, "entry_low": 0, "entry_high": 2**63},
         {"count": 1, "entry_low": -2**63 - 1, "entry_high": 0},
         {"count": 1, "entry_low": 2**63, "entry_high": 2**63},
+        # complex128 rounds integers past 2**53: [2**53, 2**53 + 3] would
+        # give even entries only, and the top of int64 would give 2**63.
+        {"count": 1, "entry_low": 2**53 + 1, "entry_high": 2**53 + 1},
+        {"count": 3, "entry_low": -2**63, "entry_high": 2**63 - 1},
     ])
-    def test_argument_validation(self, kwargs):
+    def test_argument_validation(self, monkeypatch, kwargs):
+        drawn = []
+        monkeypatch.setattr(search, "candidate_matrix", lambda *args: drawn.append(args))
         with pytest.raises(ValueError):
             run_search(**kwargs)
+        assert drawn == []
 
-    def test_int64_range_is_accepted(self):
-        result = run_search(3, entry_low=-2**63, entry_high=2**63 - 1)
+    def test_widest_exact_range_is_accepted(self):
+        result = run_search(3, entry_low=-2**53, entry_high=2**53)
         assert result.candidates == 3
+        stack = candidate_matrix(0, range(3), 3, -2**53, 2**53)
+        assert not stack.imag.any()
+        assert stack.real.astype(np.int64).tolist() == [
+            [row[k:k + 3] for k in (0, 3, 6)]
+            for row in documented_map(0, range(3), 3, -2**53, 2**53)]
 
     @pytest.mark.parametrize("m, message", [
         (np.zeros((2, 3)), r"inject\[1\]: expected a square matrix, got shape \(2, 3\)"),

@@ -274,6 +274,21 @@ class TestStack:
             s for s in alone if isinstance(s, NotApplicable)]
 
 
+    def test_floor_member_does_not_hide_a_later_wide_spectrum(self):
+        # The first member is NotApplicable by the e_i floor alone; the second
+        # passes every rule but has eigenvalues of about +-2.05e308.
+        cfg = ToleranceConfig(eig_gap_tol=1e-8, zero_tol=1e-5, match_tol=1e-5)
+        floor = np.array([[0, 1], [0, 1e-6]], dtype=np.complex128)
+        wide = np.array([[1.5e308, 1.5e308], [1.5e308, -1.4e308]], dtype=np.complex128)
+        assert compute_spectral_data(floor, cfg).reason.startswith(
+            "effectively degenerate spectrum")
+        with pytest.raises(NumericalBreakdownError) as alone:
+            compute_spectral_data(wide, cfg)
+        assert str(alone.value).startswith("spectrum beyond the float range")
+        with pytest.raises(NumericalBreakdownError) as stacked:
+            compute_spectral_data(np.array([floor, wide]), cfg)
+        assert str(stacked.value) == str(alone.value)
+
     def test_empty_stack(self):
         data, skipped = compute_spectral_data(np.zeros((0, 3, 3)))
         assert skipped == () and data.u_basis.shape == (0, 3, 3)
