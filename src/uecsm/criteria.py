@@ -40,16 +40,16 @@ is reported.
 Every test also takes the SpectralData of a stack of matrices and returns
 one ``StackVerdicts`` record: arrays with one entry per matrix, item b the
 verdict matrix b alone gets.  ``classify`` on a (B, n, n) stack decides the
-whole stack that way and returns ``StackReports``, which carries every
-member's final verdict and test outcomes as arrays and builds a member's
-report only when it is asked for.
+whole stack that way and returns ``StackReports``: every member's final
+verdict and test outcomes as arrays, with no report and no certificate.
+Only one matrix gets a ClassificationReport, with S built and verified
+when it is UECSM.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -260,14 +260,13 @@ def classify(
     spectrum yield NotApplicable with every test marked accordingly.
     Numerical breakdown inside the eigensystem propagates as an error.
 
-    ``t`` may be a (B, n, n) stack: the result is then a ``StackReports``,
-    a read-only sequence of B reports whose report b equals
-    ``classify(t[b])`` field for field, decided in one stacked pass through
-    the eigensystem and the four tests.  It carries every member's final
-    verdict and test outcomes as arrays and builds report b only when it is
-    asked for.  The certificate of each UECSM member is built and verified
-    here, matrix by matrix, so the stack raises the LinearAlgebraError of a
-    member if any member alone would.  One matrix runs as a stack of one.
+    ``t`` may be a (B, n, n) stack: the result is then a ``StackReports``
+    holding member b's final verdict, test outcomes, NotApplicable and test
+    verdicts as ``classify(t[b])`` gives them, decided in one stacked pass
+    through the eigensystem and the four tests.  A stack is decided, not
+    certified: no S is built for its UECSM members, so it raises only the
+    LinearAlgebraError of the first member whose eigensystem raises alone.
+    One matrix runs as a stack of one.
 
     ``seed`` is accepted and ignored: the pipeline draws no random numbers.
     It stays because callers, among them ``run_search`` and stand-ins that
@@ -284,49 +283,33 @@ def classify(
             verdicts=verdicts, spectrum=found.lambdas,
             certificate=_certificate(t, found, cfg) if uecsm else None)
     sd, skipped = found
-    verdicts = _verdicts(sd, cfg)
-    members = [b for b, na in enumerate(skipped) if na is None]
-    certificates = {k: _certificate(t[members[k]], sd.member(k), cfg)
-                    for k in np.flatnonzero(verdicts[-1].passed).tolist()}
-    return StackReports(skipped, sd, verdicts, certificates)
+    return StackReports(skipped, _verdicts(sd, cfg))
 
 
-class StackReports(Sequence):
-    """The reports of ``classify`` on a (B, n, n) stack, read-only.
+class StackReports:
+    """What ``classify`` decides on a (B, n, n) stack, read-only.
 
     ``final`` (B,) and ``outcomes`` (4, B), tests in TEST_KINDS order, hold
     each member's FinalVerdict and test Outcomes as the strings of their
-    values, which compare equal to the members.
-    Report b is built on access, equal field for field to ``classify(t[b])``.
+    values, which compare equal to the members.  ``not_applicable`` holds
+    each member's NotApplicable or None, and ``verdicts`` the StackVerdicts
+    of the four tests on the applicable members, in stack order.  Member b
+    gets the final verdict, the outcomes, the NotApplicable and the test
+    verdicts of ``classify(t[b])``; no certificate is built.
     """
 
-    def __init__(self, skipped: tuple[NotApplicable | None, ...], sd: SpectralData,
-                 verdicts: tuple[StackVerdicts, ...],
-                 certificates: dict[int, ConjugationCertificate]):
-        applicable = np.array([na is None for na in skipped], dtype=bool)
-        self._skipped, self._sd = skipped, sd
-        self._verdicts, self._certificates = verdicts, certificates
-        self._rows = np.cumsum(applicable) - 1    # row of member b in sd and verdicts
-        self.final = np.full(len(skipped), FinalVerdict.NOT_APPLICABLE.value)
-        self.outcomes = np.full((len(TEST_KINDS), len(skipped)), Outcome.NOT_APPLICABLE.value)
+    def __init__(self, not_applicable: tuple[NotApplicable | None, ...],
+                 verdicts: tuple[StackVerdicts, ...]):
+        self.not_applicable, self.verdicts = not_applicable, verdicts
+        applicable = np.array([na is None for na in not_applicable], dtype=bool)
+        self.final = np.full(len(not_applicable), FinalVerdict.NOT_APPLICABLE.value)
+        self.outcomes = np.full((len(TEST_KINDS), len(not_applicable)),
+                                Outcome.NOT_APPLICABLE.value)
         passed = np.array([v.passed for v in verdicts])
         self.outcomes[:, applicable] = np.where(passed, Outcome.PASS.value, Outcome.FAIL.value)
         self.final[applicable] = np.where(passed[-1], FinalVerdict.UECSM.value,
                                           FinalVerdict.NOT_UECSM.value)
         self.final.flags.writeable = self.outcomes.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self._skipped)
-
-    def __getitem__(self, b: int) -> ClassificationReport:
-        na = self._skipped[b]
-        if na is not None:
-            return _not_applicable(na)
-        k = int(self._rows[b])
-        return ClassificationReport(final=FinalVerdict(self.final[b]),
-                                    verdicts=tuple(v[k] for v in self._verdicts),
-                                    spectrum=self._sd.lambdas[k],
-                                    certificate=self._certificates.get(k))
 
 
 def _verdicts(sd: SpectralData, cfg: ToleranceConfig) -> tuple[Verdicts, ...]:

@@ -12,8 +12,9 @@ index range is split across workers, and a block of candidates is one
 
 Candidates are decided in blocks, one stacked ``classify`` call per block;
 a planted candidate is a block of one.  The counts and the hits come from
-the arrays of final verdicts and test outcomes that ``classify`` carries on
-a stack; no report is built for a candidate.  Candidates whose spectrum is
+the arrays of final verdicts and test outcomes that ``classify`` returns on
+a stack; no report and no certificate are built for a candidate, so a UECSM
+count is a count of StrongAngle passes.  Candidates whose spectrum is
 repeated at working precision are skipped (counted as not applicable); the
 rare candidate that triggers a numerical breakdown inside the eigensystem
 is counted and skipped rather than aborting a long search: a block that
@@ -168,21 +169,26 @@ def run_search(
     [-2**53, 2**53], where complex128 holds every integer, so each
     candidate is exactly the integers drawn.
     Results are deterministic for fixed (seed, count, dim, range, inject)
-    and independent of ``workers``.  The range is split into at most
-    ``workers`` nonempty parts; a single part runs in this process, several
-    on at most one process per part and per CPU.  Each part is decided in
-    blocks of at most ``_BLOCK_ENTRIES`` matrix entries, one stacked
-    ``classify`` per block, and a block that raises is decided again in
-    halves down to stacks of one, so the counts equal those of one call per
-    candidate.  Planted candidates are blocks of one.  ``seed`` is the
-    Philox key, below 2**64, and the candidate index picks a counter range
-    (see ``candidate_matrix``); ``count`` is at most 2**64, so every index
-    fits one 64-bit word.
+    and independent of ``workers``, which must be positive.  The range is
+    split into at most ``workers`` nonempty parts; a single part runs in
+    this process, several on at most one process per part and per CPU.
+    Each part is decided in blocks of at most ``_BLOCK_ENTRIES`` matrix
+    entries, one stacked ``classify`` per block, and a block that raises is
+    decided again in halves down to stacks of one.  So a candidate's final
+    verdict is the one ``classify`` reaches on it alone before it builds a
+    certificate: UECSM means StrongAngle passes, and no S is built.  A
+    breakdown is a candidate whose eigensystem raises alone.  Planted
+    candidates are blocks of one.  ``seed`` is the Philox key, below 2**64,
+    and the candidate index picks a counter range (see
+    ``candidate_matrix``); ``count`` is at most 2**64, so every index fits
+    one 64-bit word.
     """
     if not 0 <= count <= 2**64:
         raise ValueError("count must be nonnegative and at most 2**64")
     if dim < 1:
         raise ValueError("dim must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     if entry_low > entry_high:
         raise ValueError("entry range is empty")
     if not (-2**53 <= entry_low and entry_high <= 2**53):

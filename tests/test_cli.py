@@ -267,6 +267,13 @@ class TestSearch:
         assert code == EXIT_BAD_INPUT
         assert capsys.readouterr().err.startswith("error: entry range")
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_bad_input(self, tmp_path, capsys, workers):
+        code = main(["search", "--count", "1", "--workers", workers,
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: workers")
+
     def test_summary_is_one_line(self, tmp_path, capsys):
         summary = tmp_path / "s.json"
         out_dir = tmp_path / "hits"

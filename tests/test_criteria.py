@@ -15,6 +15,7 @@ Reference values, all exact or derived in closed form:
 import numpy as np
 import pytest
 
+import uecsm.criteria as criteria
 from uecsm.criteria import (
     TEST_KINDS,
     FinalVerdict,
@@ -37,7 +38,7 @@ from uecsm.fixtures import (
     family_member,
     find_fixture,
 )
-from uecsm.conjugation import build_beta
+from uecsm.conjugation import BetaInconsistencyError, build_beta
 from uecsm.oracle import random_unitary
 from uecsm.spectral import SpectralData, assert_distinct_spectrum, compute_spectral_data
 
@@ -244,12 +245,27 @@ class TestStackReportArrays:
 
     def test_stack_with_no_applicable_member(self):
         # The four tests run on an empty SpectralData and leave the arrays
-        # at NotApplicable; each report is the member's own.
+        # at NotApplicable; each NotApplicable is the member's own.
         stack = np.array([np.eye(3), np.diag([1.0, 1.0, 2.0]), np.zeros((3, 3))])
         reports = classify(stack)
         assert (reports.final == FinalVerdict.NOT_APPLICABLE).all()
         assert (reports.outcomes == Outcome.NOT_APPLICABLE).all()
-        assert list(reports) == [classify(t) for t in stack]
+        assert reports.not_applicable == tuple(classify(t).not_applicable for t in stack)
+        assert [len(v.passed) for v in reports.verdicts] == [0] * len(TEST_KINDS)
+
+    def test_stack_is_decided_without_a_certificate(self, monkeypatch):
+        # One matrix gets its certificate built, and raises if that fails; a
+        # stack builds none and counts the member under its verdict.
+        def inconsistent(*args, **kwargs):
+            raise BetaInconsistencyError("planted")
+
+        monkeypatch.setattr(criteria, "build_beta", inconsistent)
+        closed_form = find_fixture("closed-form-s").matrix()
+        with pytest.raises(BetaInconsistencyError, match="planted"):
+            classify(closed_form)
+        reports = classify(np.array([find_fixture("necessary-tests-fail").matrix(),
+                                     closed_form]))
+        assert reports.final.tolist() == ["NotUECSM", "UECSM"]
 
 
 class TestNotApplicableReports:

@@ -7,9 +7,10 @@ transposition and scaling too, and T (+) 0_1 = (U (+) 1)(S (+) 0_1)(U (+) 1)*
 keeps it as well.  Every complex symmetric matrix is
 trivially UECSM, so ``classify`` must certify it.  The memory layout of T
 is no part of the input: C order, Fortran order and a strided view give
-the same report, bit for bit.  A (B, n, n) stack gives, report for
-report, what each of its matrices gives alone, in any order of the stack,
-and its arrays of final verdicts and test outcomes agree with its reports.
+the same report, bit for bit.  A (B, n, n) stack gives each of its
+matrices, in any order of the stack, the final verdict, test outcomes,
+NotApplicable and test verdicts it gets alone, bit for bit, and raises the
+error of the first matrix whose eigensystem raises alone.
 Matrices are drawn from seed integers, and hypothesis runs derandomized, so
 every run checks the same examples.
 """
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from uecsm.criteria import FinalVerdict, classify
 from uecsm.linalg import LinearAlgebraError
 from uecsm.oracle import random_unitary
+from uecsm.spectral import compute_spectral_data
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SIZES = st.integers(min_value=2, max_value=6)
@@ -103,12 +105,13 @@ def stack_member(seed, n, kind):
     return (q * d) @ q.conj().T
 
 
-def outcome(t):
-    """The report's bits, or the class of the error ``classify`` raises."""
+def eigensystem_error(t):
+    """The error the eigensystem of ``t`` raises alone, or None."""
     try:
-        return report_bits(classify(t))
+        compute_spectral_data(t)
     except LinearAlgebraError as exc:
-        return type(exc)
+        return exc
+    return None
 
 
 @PROPERTY
@@ -118,16 +121,23 @@ def outcome(t):
        order_seed=SEEDS)
 def test_stack_matches_single_calls(n, members, order_seed):
     stack = np.array([stack_member(seed, n, kind) for seed, kind in members])
-    singles = [outcome(t) for t in stack]
-    errors = tuple({s for s in singles if isinstance(s, type)})
+    errors = [eigensystem_error(t) for t in stack]
+    singles = [classify(t) if e is None else None for t, e in zip(stack, errors)]
     order = np.random.default_rng(order_seed).permutation(len(stack))
     for perm in (np.arange(len(stack)), order):
-        if errors:
-            with pytest.raises(errors):
+        raised_alone = [errors[k] for k in perm if errors[k] is not None]
+        if raised_alone:
+            with pytest.raises(LinearAlgebraError) as raised:
                 classify(stack[perm])
-        else:
-            reports = classify(stack[perm])
-            assert [report_bits(r) for r in reports] == [singles[k] for k in perm]
-            assert reports.final.tolist() == [r.final.value for r in reports]
-            assert reports.outcomes.T.tolist() == [[v.outcome.value for v in r.verdicts]
-                                                   for r in reports]
+            assert type(raised.value) is type(raised_alone[0])
+            assert str(raised.value) == str(raised_alone[0])
+            continue
+        reports = classify(stack[perm])
+        alone = [singles[k] for k in perm]
+        assert reports.final.tolist() == [r.final.value for r in alone]
+        assert reports.outcomes.T.tolist() == [[v.outcome.value for v in r.verdicts]
+                                               for r in alone]
+        assert repr(reports.not_applicable) == repr(tuple(r.not_applicable for r in alone))
+        applicable = [r for r in alone if r.not_applicable is None]
+        assert [repr(tuple(v[k] for v in reports.verdicts)) for k in range(len(applicable))
+                ] == [repr(r.verdicts) for r in applicable]

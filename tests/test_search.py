@@ -236,8 +236,16 @@ class TestRunSearch:
         result = run_search(2600, seed=3)
         assert (result.breakdown, result.uecsm) == (1, 4)
         assert built == []
-        classify(CLOSED_FORM[None])[0]    # a report asked for is built on access
-        assert set(built) == {"ClassificationReport", "TestVerdict", "Witness"}
+
+    def test_builds_no_certificate(self, monkeypatch):
+        # A UECSM candidate is a StrongAngle pass; no S is built for it.
+        built = []
+        certificate = criteria._certificate
+        monkeypatch.setattr(criteria, "_certificate",
+                            lambda *args: built.append(args) or certificate(*args))
+        result = run_search(2600, seed=3)
+        assert (result.breakdown, result.uecsm) == (1, 4)
+        assert built == []
 
     def test_counts_are_a_partition(self):
         result = run_search(500, seed=0)
@@ -319,7 +327,7 @@ class TestRunSearch:
             classify(stack)
         assert str(stacked.value) == str(alone.value)
         reports = classify(np.delete(stack, 16, axis=0))
-        assert len(reports) == 19
+        assert len(reports.final) == 19
 
     def test_block_isolates_the_candidates_that_raise(self):
         final, outcomes = _reports(MIXED, 0, DEFAULT_TOLERANCES)
@@ -354,6 +362,7 @@ class TestRunSearch:
         # give even entries only, and the top of int64 would give 2**63.
         {"count": 1, "entry_low": 2**53 + 1, "entry_high": 2**53 + 1},
         {"count": 3, "entry_low": -2**63, "entry_high": 2**63 - 1},
+        {"count": 1, "workers": 0},
     ])
     def test_argument_validation(self, monkeypatch, kwargs):
         drawn = []

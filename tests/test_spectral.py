@@ -293,7 +293,7 @@ class TestStack:
         data, skipped = compute_spectral_data(np.zeros((0, 3, 3)))
         assert skipped == () and data.u_basis.shape == (0, 3, 3)
         reports = classify(np.zeros((0, 3, 3)))
-        assert len(reports) == 0 and list(reports) == []
+        assert reports.not_applicable == () and len(reports.verdicts) == 4
         assert reports.final.shape == (0,) and reports.outcomes.shape == (4, 0)
 
 
