@@ -38,7 +38,6 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     LinearAlgebraError,
     ToleranceConfig,
-    as_matrix,
     power_of_two_rescale,
 )
 from .spectral import SpectralData, gram_pair, pair_indices
@@ -189,7 +188,9 @@ def verify_certificate(
     alpha,
 ) -> ConjugationCertificate:
     """Measure the four defining identities of S; residuals encode failure."""
-    a = power_of_two_rescale(as_matrix(t))[0]
+    a = power_of_two_rescale(t)[0]
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     al = np.asarray(alpha, dtype=np.complex128).ravel()
     n = sd.n
     t_norm = float(np.linalg.norm(a))

@@ -41,9 +41,9 @@ Every test also takes the SpectralData of a stack of matrices and returns
 one ``StackVerdicts`` record: arrays with one entry per matrix, item b the
 verdict matrix b alone gets.  ``classify`` on a (B, n, n) stack decides the
 whole stack that way and returns ``StackReports``: every member's final
-verdict and test outcomes as arrays, with no report and no certificate.
-Only one matrix gets a ClassificationReport, with S built and verified
-when it is UECSM.
+verdict and test outcomes as arrays, with no report and no certificate,
+and the error of each member that breaks down.  Only one matrix gets a
+ClassificationReport, with S built and verified when it is UECSM.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .conjugation import (
     extract_alpha,
     verify_certificate,
 )
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, frobenius_norm
+from .linalg import DEFAULT_TOLERANCES, LinearAlgebraError, ToleranceConfig, frobenius_norm
 from .spectral import (
     NotApplicable,
     SpectralData,
@@ -258,15 +258,17 @@ def classify(
     in which case the symmetric unitary S is constructed and verified and
     its certificate attached.  Inputs without a (numerically) distinct
     spectrum yield NotApplicable with every test marked accordingly.
-    Numerical breakdown inside the eigensystem propagates as an error.
+    On one matrix, numerical breakdown inside the eigensystem propagates
+    as an error.
 
     ``t`` may be a (B, n, n) stack: the result is then a ``StackReports``
     holding member b's final verdict, test outcomes, NotApplicable and test
     verdicts as ``classify(t[b])`` gives them, decided in one stacked pass
-    through the eigensystem and the four tests.  A stack is decided, not
-    certified: no S is built for its UECSM members, so it raises only the
-    LinearAlgebraError of the first member whose eigensystem raises alone.
-    One matrix runs as a stack of one.
+    through the eigensystem and the four tests.  A member whose
+    eigensystem raises alone is recorded with its error in ``breakdowns``,
+    and the rest are decided.  A stack is decided, not certified: no S is
+    built for its UECSM members, so it raises only when a stacked LAPACK
+    call fails as a whole.  One matrix runs as a stack of one.
 
     ``seed`` is accepted and ignored: the pipeline draws no random numbers.
     It stays because callers, among them ``run_search`` and stand-ins that
@@ -291,20 +293,29 @@ class StackReports:
 
     ``final`` (B,) and ``outcomes`` (4, B), tests in TEST_KINDS order, hold
     each member's FinalVerdict and test Outcomes as the strings of their
-    values, which compare equal to the members.  ``not_applicable`` holds
-    each member's NotApplicable or None, and ``verdicts`` the StackVerdicts
-    of the four tests on the applicable members, in stack order.  Member b
-    gets the final verdict, the outcomes, the NotApplicable and the test
-    verdicts of ``classify(t[b])``; no certificate is built.
+    values, which compare equal to the members; a member that breaks down
+    has "" throughout its column.  ``not_applicable`` holds each member's
+    NotApplicable or None, ``breakdowns`` each member's LinearAlgebraError
+    or None, and ``verdicts`` the StackVerdicts of the four tests on the
+    applicable members, in stack order.  Member b gets the final verdict,
+    the outcomes, the NotApplicable and the test verdicts of
+    ``classify(t[b])``, or the error it raises, of the same type and with
+    the same message; no certificate is built.
     """
 
-    def __init__(self, not_applicable: tuple[NotApplicable | None, ...],
+    def __init__(self, skipped: tuple[NotApplicable | LinearAlgebraError | None, ...],
                  verdicts: tuple[StackVerdicts, ...]):
-        self.not_applicable, self.verdicts = not_applicable, verdicts
-        applicable = np.array([na is None for na in not_applicable], dtype=bool)
-        self.final = np.full(len(not_applicable), FinalVerdict.NOT_APPLICABLE.value)
-        self.outcomes = np.full((len(TEST_KINDS), len(not_applicable)),
-                                Outcome.NOT_APPLICABLE.value)
+        self.not_applicable = tuple(s if isinstance(s, NotApplicable) else None
+                                    for s in skipped)
+        self.breakdowns = tuple(s if isinstance(s, LinearAlgebraError) else None
+                                for s in skipped)
+        self.verdicts = verdicts
+        applicable = np.array([s is None for s in skipped], dtype=bool)
+        broken = np.array([e is not None for e in self.breakdowns], dtype=bool)
+        self.final = np.full(len(skipped), FinalVerdict.NOT_APPLICABLE.value)
+        self.outcomes = np.full((len(TEST_KINDS), len(skipped)), Outcome.NOT_APPLICABLE.value)
+        self.final[broken] = ""
+        self.outcomes[:, broken] = ""
         passed = np.array([v.passed for v in verdicts])
         self.outcomes[:, applicable] = np.where(passed, Outcome.PASS.value, Outcome.FAIL.value)
         self.final[applicable] = np.where(passed[-1], FinalVerdict.UECSM.value,

@@ -158,28 +158,34 @@ def eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unit_eigenvector(m, lam, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *,
-                     start, scale=None) -> np.ndarray:
+                     start, scale=None
+                     ) -> np.ndarray | tuple[np.ndarray, list[EigenSolverError | None]]:
     """Unit eigenvectors of ``m`` for the (accurate) eigenvalues ``lam``:
     the columns of ``start``, normalized, each refined by inverse iteration
     from itself if it misses the residual target.  The shift is perturbed by
     1e-12 * ||m|| so the shifted system is ill-conditioned but not singular.
-    ``m`` may be a (B, n, n) stack, with ``lam`` and ``start`` stacked alike;
-    ``scale`` is ||m||_F (one per matrix), computed here if not given.
-    Each matrix is refined and then checked: EigenSolverError if a residual
-    stays above zero_tol * ||m||, for the first matrix of a stack where one
-    does.
+    ``scale`` is ||m||_F, computed here if not given.  Each matrix is refined
+    and then checked: EigenSolverError if a residual stays above
+    zero_tol * ||m||.  One matrix returns its vectors or raises that error.
+    A (B, n, n) stack, with ``lam``, ``start`` and ``scale`` stacked alike,
+    returns ``(x, errors)``: errors[b] is the EigenSolverError matrix b
+    raises alone, or None, and x[b] its vectors, refined as far as they go.
     """
     a = _square(m)
     if a.ndim == 2:
-        return unit_eigenvector(a[None], np.asarray(lam)[None], cfg,
-                                start=np.asarray(start)[None],
-                                scale=None if scale is None else np.reshape(scale, 1))[0]
+        (x,), (error,) = unit_eigenvector(
+            a[None], np.asarray(lam)[None], cfg, start=np.asarray(start)[None],
+            scale=None if scale is None else np.reshape(scale, 1))
+        if error is not None:
+            raise error
+        return x
     lam = np.asarray(lam, dtype=np.complex128)
     x = np.asarray(start, dtype=np.complex128)
     x = x / _column_norms(x)[:, None, :]
     scale = (frobenius_norm(np.ascontiguousarray(a)) if scale is None
              else np.asarray(scale, dtype=np.float64)).tolist()
     residual = _column_norms(a @ x - x * lam[:, None, :])
+    errors = [None] * len(a)
     for b, (w, s) in enumerate(zip(residual.max(axis=-1).tolist(), scale)):
         # Every target is at least _REFINE_FACTOR * s, so a worst residual
         # within it spares building the targets; LAPACK's vectors nearly always are.
@@ -190,13 +196,13 @@ def unit_eigenvector(m, lam, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *,
                 w = residual[b].max()
         bound = cfg.zero_tol * s
         if not w <= bound:
-            if not np.isfinite(a).all():
+            if not np.isfinite(a[b]).all():
                 raise ValueError("matrix has non-finite entries")
             i = int((residual[b] <= bound).argmin())    # the first column that stalled
-            raise EigenSolverError(
+            errors[b] = EigenSolverError(
                 f"inverse iteration stalled at residual {residual[b, i]:.3e} "
                 f"(bound {bound:.3e}) for eigenvalue {i + 1} of {a.shape[-1]}")
-    return x
+    return x, errors
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:

@@ -325,7 +325,9 @@ def brute_force_uecsm(
         raise ValueError("restarts must be at least 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    a = power_of_two_rescale(as_matrix(t))[0]    # rounds as t would; norms stay finite
+    a = power_of_two_rescale(t)[0]    # rounds as t would; norms stay finite
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n == 1 or not a.any():
         return OracleVerdict(OracleOutcome.UECSM, 0.0, 0)

@@ -17,8 +17,9 @@ a stack; no report and no certificate are built for a candidate, so a UECSM
 count is a count of StrongAngle passes.  Candidates whose spectrum is
 repeated at working precision are skipped (counted as not applicable); the
 rare candidate that triggers a numerical breakdown inside the eigensystem
-is counted and skipped rather than aborting a long search: a block that
-raises is decided again in halves, down to the candidates that raise.
+is counted and skipped rather than aborting a long search: the stack
+records it, as it records a NotApplicable.  Only a block whose stacked call
+fails as a whole is decided again, one candidate at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .linalg import DEFAULT_TOLERANCES, LinearAlgebraError, ToleranceConfig, as_
 
 # A block holds at most this many matrix entries (113 candidates at n = 3).
 # Larger blocks spread the fixed cost of a stacked call over more candidates,
-# but a block that raises is decided again in halves, at about twice its work.
+# and a block that holds a breakdown costs one call like any other.
 _BLOCK_ENTRIES = 1024
 
 
@@ -103,16 +104,17 @@ def _reports(stack: np.ndarray, start: int, cfg: ToleranceConfig
              ) -> tuple[np.ndarray, np.ndarray]:
     """The final verdicts (B,) and test outcomes (4, B) of a stack of
     candidates numbered from ``start``, as the ``final`` and ``outcomes``
-    arrays of ``classify``, with "" for each candidate that raises.  A
-    stack that raises is decided again in halves, down to stacks of one."""
+    arrays of ``classify``, with "" for each candidate that breaks down.
+    A stack whose ``classify`` raises as a whole (a stacked LAPACK call
+    failed) is decided one candidate at a time, each under its own index
+    as ``seed``."""
     try:
         reports = classify(stack, cfg, seed=start)
     except LinearAlgebraError:
         if len(stack) == 1:
             return np.array([""]), np.array([[""]] * len(TEST_KINDS))
-        half = len(stack) // 2
-        halves = _reports(stack[:half], start, cfg), _reports(stack[half:], start + half, cfg)
-        return tuple(np.concatenate(pair, axis=-1) for pair in zip(*halves))
+        members = [_reports(stack[k:k + 1], start + k, cfg) for k in range(len(stack))]
+        return tuple(np.concatenate(part, axis=-1) for part in zip(*members))
     return reports.final, reports.outcomes
 
 
@@ -173,15 +175,15 @@ def run_search(
     split into at most ``workers`` nonempty parts; a single part runs in
     this process, several on at most one process per part and per CPU.
     Each part is decided in blocks of at most ``_BLOCK_ENTRIES`` matrix
-    entries, one stacked ``classify`` per block, and a block that raises is
-    decided again in halves down to stacks of one.  So a candidate's final
+    entries, one stacked ``classify`` per block; a block whose call fails as
+    a whole is decided one candidate at a time.  So a candidate's final
     verdict is the one ``classify`` reaches on it alone before it builds a
     certificate: UECSM means StrongAngle passes, and no S is built.  A
-    breakdown is a candidate whose eigensystem raises alone.  Planted
-    candidates are blocks of one.  ``seed`` is the Philox key, below 2**64,
-    and the candidate index picks a counter range (see
-    ``candidate_matrix``); ``count`` is at most 2**64, so every index fits
-    one 64-bit word.
+    breakdown is a candidate whose eigensystem raises alone, recorded by
+    the stack.  Planted candidates are blocks of one.  ``seed`` is the
+    Philox key, below 2**64, and the candidate index picks a counter range
+    (see ``candidate_matrix``); ``count`` is at most 2**64, so every index
+    fits one 64-bit word.
     """
     if not 0 <= count <= 2**64:
         raise ValueError("count must be nonnegative and at most 2**64")

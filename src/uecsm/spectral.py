@@ -25,8 +25,12 @@ Each matrix's paired data depends on that matrix alone, so a (B, n, n)
 stack runs as one: one LAPACK call per step for the whole stack, array
 reductions per row, and per-row rules (the gap, the adjoint pairing, the
 e_i floor) that drop a NotApplicable member before the next step.  The
-adjoint pairing fails by the offset of a match alone.  One matrix is a
-stack of one.
+adjoint pairing fails by the offset of a match alone.  A member that
+breaks down (a stalled inverse iteration, lost biorthogonality, a spectrum
+beyond the float range) is a fact about that matrix too: the stack records
+the error the member raises alone and decides the rest.  Only a stacked
+LAPACK call that fails as a whole fails the stack.  One matrix is a stack
+of one, and raises its breakdown.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOLERANCES,
+    LinearAlgebraError,
     NumericalBreakdownError,
     ToleranceConfig,
     complex_ldexp,
@@ -196,49 +201,59 @@ def _pair_adjoint(lam, mu, half_gap, exponent) -> tuple[np.ndarray, list[NotAppl
 def compute_spectral_data(
     t,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> SpectralData | NotApplicable | tuple[SpectralData, tuple[NotApplicable | None, ...]]:
+) -> SpectralData | NotApplicable | tuple[
+        SpectralData, tuple[NotApplicable | LinearAlgebraError | None, ...]]:
     """Compute the full paired eigensystem of ``t``, or NotApplicable.
 
     NotApplicable covers three situations: the sorted spectrum violates the
     gap tolerance; the adjoint's computed spectrum fails to pair with the
     conjugated eigenvalues within half the gap threshold; or some
     |<u_i, v_i>| falls below zero_tol (spectrum effectively degenerate at
-    working precision).  A singular eigenvector matrix or an off-diagonal
-    biorthogonality violation, by contrast, is raised as
-    NumericalBreakdownError: with a genuinely separated spectrum neither
-    can happen short of solver failure.  Nothing here is random.  The work
-    is done on ``power_of_two_rescale(t)``, and the spectrum is scaled back
-    once to the units of ``t``; a part of it beyond the float range there
-    is a NumericalBreakdownError too, decided on that reported spectrum.
+    working precision).  A breakdown, by contrast, is an error: inverse
+    iteration that stalls (EigenSolverError), a singular eigenvector matrix
+    or an off-diagonal biorthogonality violation (NumericalBreakdownError);
+    with a genuinely separated spectrum none can happen short of solver
+    failure.  Nothing here is random.  The work is done on
+    ``power_of_two_rescale(t)``, and the spectrum is scaled back once to
+    the units of ``t``; a part of it beyond the float range there is a
+    NumericalBreakdownError too, decided on that reported spectrum.
+    One matrix returns its data or NotApplicable, or raises its breakdown.
 
     For a (B, n, n) stack the result is a pair ``(data, skipped)``:
-    skipped[b] is the NotApplicable of matrix b or None, and ``data``
-    stacks, in order, the SpectralData of the matrices with None.  Each is
-    what ``t[b]`` alone gives, bit for bit, and the stack raises if any
-    matrix alone would, with the message of the first such matrix.  One
-    matrix runs as a stack of one.
+    skipped[b] is None, the NotApplicable of matrix b, or the
+    LinearAlgebraError matrix b raises alone, and ``data`` stacks, in
+    order, the SpectralData of the matrices with None.  Each is what
+    ``t[b]`` alone gives, bit for bit.  The stack raises only when a
+    stacked LAPACK call (``eig``, ``inv``) fails as a whole.  One matrix
+    runs as a stack of one.
     """
     a, exponent = power_of_two_rescale(t)
     if a.ndim == 2:
         data, (skipped,) = _paired_eigensystems(a[None], exponent[None], cfg)
+        if isinstance(skipped, LinearAlgebraError):
+            raise skipped
         return skipped or data.member(0)
     return _paired_eigensystems(a, exponent, cfg)
 
 
 def _paired_eigensystems(a, exponent, cfg: ToleranceConfig
-                         ) -> tuple[SpectralData, tuple[NotApplicable | None, ...]]:
+                         ) -> tuple[SpectralData,
+                                    tuple[NotApplicable | LinearAlgebraError | None, ...]]:
     """``compute_spectral_data`` on the rescaled (B, n, n) stack ``a``.
 
     Members found NotApplicable drop out as soon as they are, so every later
     step sees only what the matrix alone would reach: the stacked ``inv``
-    in particular raises if any of its members is singular.
+    in particular fails if any of its members is singular.  Each member
+    gets its first rule that fails, in the order of the steps: the gap,
+    the adjoint pairing, the u stall, the v stall, the e_i floor,
+    biorthogonality, then the float range.
     """
     skipped = [None] * len(a)
     rows = range(len(a))    # the members still in play
 
     def drop(found, *arrays):
-        """Record the NotApplicable members of ``found`` (one entry per row in
-        play), and return ``arrays`` without their rows."""
+        """Record the members of ``found`` (one entry per row in play) that
+        are not None, and return ``arrays`` without their rows."""
         nonlocal rows
         for b, f in zip(rows, found):
             skipped[b] = f
@@ -267,8 +282,8 @@ def _paired_eigensystems(a, exponent, cfg: ToleranceConfig
         left = np.linalg.inv(u).conj().swapaxes(-1, -2)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdownError(f"eigenvector matrix is singular: {exc}") from exc
-    u = unit_eigenvector(a, lam, cfg, start=u, scale=scale)
-    v = unit_eigenvector(a_star, shifts, cfg, start=left, scale=scale)
+    u, u_stalled = unit_eigenvector(a, lam, cfg, start=u, scale=scale)
+    v, v_stalled = unit_eigenvector(a_star, shifts, cfg, start=left, scale=scale)
 
     e = v.conj().swapaxes(-1, -2) @ u
     n = e.shape[-1]
@@ -279,9 +294,11 @@ def _paired_eigensystems(a, exponent, cfg: ToleranceConfig
     high = modulus > cfg.zero_tol
     with np.errstate(over="ignore"):
         spectrum = complex_ldexp(lam, exponent[:, None])    # in the units of T
-    found = [None] * len(e)
+    found = [u_stall or v_stall for u_stall, v_stall in zip(u_stalled, v_stalled)]
     if np.count_nonzero(low) or np.count_nonzero(high) or not np.isfinite(spectrum).all():
         for b in range(len(e)):
+            if found[b] is not None:
+                continue
             if low[b].any():
                 found[b] = NotApplicable(
                     reason=f"effectively degenerate spectrum: min |<u_i, v_i>| = "
@@ -289,12 +306,12 @@ def _paired_eigensystems(a, exponent, cfg: ToleranceConfig
                            "beyond working precision)",
                 )
             elif high[b].any():
-                raise NumericalBreakdownError(
+                found[b] = NumericalBreakdownError(
                     f"biorthogonality violated: max |<u_i, v_j>| = {modulus[b].max():.3e} "
                     f"for i != j exceeds zero_tol = {cfg.zero_tol:.3e}")
             elif not np.isfinite(spectrum[b]).all():
                 top = np.abs(lam[b].view(np.float64)).max()    # largest |Re|, |Im|
-                raise NumericalBreakdownError(
+                found[b] = NumericalBreakdownError(
                     f"spectrum beyond the float range: largest eigenvalue part "
                     f"{top:.3e} * 2**{exponent[b]} overflows in the units of T")
     if any(found):

@@ -202,7 +202,7 @@ class TestVerifyCertificate:
                                     cert.residual_eigvec)
 
 
-@pytest.mark.parametrize("check, t", [
+ONE_MATRIX_CHECKS = pytest.mark.parametrize("check, t", [
     # A 4x4 Ginibre matrix, NotUECSM alone, must not pass as a stack of one.
     (lambda t: brute_force_uecsm(t, restarts=1),
      np.random.default_rng(4).standard_normal((4, 4))),
@@ -210,6 +210,17 @@ class TestVerifyCertificate:
                                   [1, 1, -1]), T_CLOSED),
     (tener_applicable, T_CLOSED),
 ], ids=["brute_force_uecsm", "verify_certificate", "tener_applicable"])
+
+
+@ONE_MATRIX_CHECKS
 def test_one_matrix_checks_refuse_a_stack(check, t):
     with pytest.raises(ValueError, match="expected a square matrix, got shape"):
         check(t[None])
+
+
+@ONE_MATRIX_CHECKS
+def test_one_matrix_checks_refuse_a_nan_entry(check, t):
+    t = np.array(t, dtype=np.complex128)
+    t[0, 1] = np.nan
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        check(t)

@@ -120,20 +120,26 @@ class TestUnitEigenvector:
         with pytest.raises(EigenSolverError, match="stalled"):
             unit_eigenvector(a, [1.0, 2.0 + 1e-6], start=np.eye(2))
 
-    def test_first_stalled_member_of_a_stack_raises(self):
-        # Both members stall, each with its own message: the first one's is raised.
-        a = np.array([np.diag([1.0, 2.0])] * 2)
-        lam = np.array([[1.0, 2.0 + 1e-6], [1.0 + 1e-5, 2.0]])
+    def test_each_stalled_member_is_recorded(self):
+        # Both members stall, each with its own message: a stack records
+        # each member's error as it raises alone, in either order, and keeps
+        # the vectors of a member that does not stall.
+        a = np.array([np.diag([1.0, 2.0])] * 3)
+        lam = np.array([[1.0, 2.0 + 1e-6], [1.0 + 1e-5, 2.0], [1.0, 2.0]])
         messages = []
         for b in (0, 1):
             with pytest.raises(EigenSolverError, match="stalled") as alone:
                 unit_eigenvector(a[b], lam[b], start=np.eye(2))
             messages.append(str(alone.value))
+        messages.append(None)
         assert messages[0] != messages[1]
-        for order in ([0, 1], [1, 0]):
-            with pytest.raises(EigenSolverError) as stacked:
-                unit_eigenvector(a[order], lam[order], start=np.array([np.eye(2)] * 2))
-            assert str(stacked.value) == messages[order[0]]
+        good = unit_eigenvector(a[2], lam[2], start=np.eye(2))
+        for order in ([0, 1, 2], [2, 1, 0]):
+            x, errors = unit_eigenvector(a[order], lam[order], start=np.array([np.eye(2)] * 3))
+            assert [None if e is None else str(e) for e in errors] == [
+                messages[b] for b in order]
+            assert all(e is None or type(e) is EigenSolverError for e in errors)
+            assert x[order.index(2)].tobytes() == good.tobytes()
 
     def test_zero_matrix_at_zero_eigenvalue(self):
         x = unit_eigenvector(np.zeros((1, 1)), [0.0], start=[[2.0]])

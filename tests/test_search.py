@@ -19,7 +19,12 @@ import uecsm.criteria as criteria
 import uecsm.search as search
 from uecsm.criteria import FinalVerdict, classify
 from uecsm.fixtures import find_fixture
-from uecsm.linalg import DEFAULT_TOLERANCES, EigenSolverError, LinearAlgebraError
+from uecsm.linalg import (
+    DEFAULT_TOLERANCES,
+    EigenSolverError,
+    LinearAlgebraError,
+    NumericalBreakdownError,
+)
 from uecsm.search import SearchResult, _hits, _reports, candidate_matrix, run_search
 
 
@@ -203,8 +208,8 @@ class TestRunSearch:
         assert [h.index for h in result.hits] == []
 
     def test_breakdown_in_the_stream_is_pinned(self):
-        # Candidate 2597 of seed 3 raises inside its stream block, [2486,
-        # 2599), which is decided again in halves down to it alone.
+        # Candidate 2597 of seed 3 raises alone; its stream block, [2486,
+        # 2599), records it and decides the other candidates.
         with pytest.raises(EigenSolverError):
             classify(candidate_matrix(3, 2597, 3, -9, 9))
         result = run_search(2600, seed=3)
@@ -213,20 +218,23 @@ class TestRunSearch:
         assert result.hits == []
 
     def test_every_classify_call_gets_a_stack(self, monkeypatch):
-        shapes = []
+        # One call per block: 2600 candidates are 24 blocks of at most 113,
+        # and the block that holds the breakdown at 2597 records it.
+        calls = []
 
         def spy(m, cfg, seed):
-            shapes.append(np.shape(m))
+            calls.append((seed, np.shape(m)))
             return classify(m, cfg, seed=seed)
 
         monkeypatch.setattr(search, "classify", spy)
-        run_search(2600, seed=3)
+        assert run_search(2600, seed=3).breakdown == 1
+        assert calls == [(k, (min(113, 2600 - k), 3, 3)) for k in range(0, 2600, 113)]
         run_search(3, inject=(COUNTEREXAMPLE, BREAKDOWN, CLOSED_FORM))
-        assert shapes and all(len(shape) == 3 for shape in shapes)
+        assert [shape for _, shape in calls[24:]] == [(1, 4, 4), (1, 3, 3), (1, 3, 3)]
 
     def test_builds_no_report_objects(self, monkeypatch):
         # Counts and hits come from the stacked arrays: no report, verdict or
-        # witness is built for a candidate, breakdowns and halving included.
+        # witness is built for a candidate, breakdowns included.
         built = []
         for name in ("ClassificationReport", "TestVerdict", "Witness"):
             cls = getattr(criteria, name)
@@ -318,16 +326,49 @@ class TestRunSearch:
         assert (result.not_uecsm, result.uecsm) == (1, 1)
         assert [h.index for h in result.hits] == [0]
 
-    def test_a_stack_raises_as_its_member_does(self):
+    def test_a_stack_records_the_error_its_member_raises(self):
         with pytest.raises(EigenSolverError) as alone:
             classify(BREAKDOWN)
         stack = candidate_matrix(0, range(2990, 3010), 3, -9, 9)
         stack[16] = BREAKDOWN    # planted in a stream block
-        with pytest.raises(EigenSolverError) as stacked:
-            classify(stack)
-        assert str(stacked.value) == str(alone.value)
-        reports = classify(np.delete(stack, 16, axis=0))
-        assert len(reports.final) == 19
+        reports = classify(stack)
+        assert [b for b, e in enumerate(reports.breakdowns) if e is not None] == [16]
+        assert type(reports.breakdowns[16]) is EigenSolverError
+        assert str(reports.breakdowns[16]) == str(alone.value)
+        assert reports.not_applicable[16] is None
+        assert reports.final[16] == "" and reports.outcomes[:, 16].tolist() == [""] * 4
+        rest = classify(np.delete(stack, 16, axis=0))
+        assert np.delete(reports.final, 16).tolist() == rest.final.tolist()
+        assert np.delete(reports.outcomes, 16, axis=1).tolist() == rest.outcomes.tolist()
+
+    def test_a_stack_that_fails_as_a_whole_is_decided_member_by_member(self, monkeypatch):
+        # A stand-in for a stacked LAPACK call that fails: every stack longer
+        # than one raises, so each block is decided one candidate at a time,
+        # each under its own index as seed.
+        seeds = []
+
+        def fails_stacked(m, cfg, seed):
+            if len(m) > 1:
+                raise NumericalBreakdownError("stacked call failed")
+            seeds.append(seed)
+            return classify(m, cfg, seed=seed)
+
+        real = run_search(2600, seed=3)
+        monkeypatch.setattr(search, "classify", fails_stacked)
+        member_by_member = run_search(2600, seed=3)
+        assert member_by_member == real
+        assert seeds == list(range(2600))
+
+    def test_dim4_sign_stream_is_pinned(self):
+        # The dim-4 [-1, 1] stream breaks down in about 0.7% of candidates,
+        # so most of its blocks of 64 hold a breakdown; each is one call.
+        results = [run_search(4000, dim=4, entry_low=-1, entry_high=1, seed=3, workers=w)
+                   for w in (1, 2)]
+        for result in results:
+            assert (result.not_applicable, result.breakdown, result.uecsm,
+                    result.not_uecsm) == (636, 30, 270, 3064)
+            assert len(result.hits) == 3
+        assert [h.index for h in results[0].hits] == [h.index for h in results[1].hits]
 
     def test_block_isolates_the_candidates_that_raise(self):
         final, outcomes = _reports(MIXED, 0, DEFAULT_TOLERANCES)

@@ -49,14 +49,15 @@ def closed_form_data():
 
 def spy_unit_eigenvector(monkeypatch, v_side=lambda x: x):
     """Wrap spectral's unit_eigenvector: the returned list collects (m, lam)
-    per call, and ``v_side`` maps the result of the second (v side) call.
-    One matrix runs as a stack of one, so each m is (1, n, n)."""
+    per call, and ``v_side`` maps the vectors of the second (v side) call.
+    One matrix runs as a stack of one, so each m is (1, n, n) and each call
+    returns the vectors with the stack's list of errors."""
     calls = []
 
     def spy(m, lam, cfg=DEFAULT_TOLERANCES, *, start, scale):
         calls.append((np.array(m), np.array(lam)))
-        x = unit_eigenvector(m, lam, cfg, start=start, scale=scale)
-        return v_side(x) if len(calls) == 2 else x
+        x, errors = unit_eigenvector(m, lam, cfg, start=start, scale=scale)
+        return (v_side(x) if len(calls) == 2 else x), errors
 
     monkeypatch.setattr(spectral, "unit_eigenvector", spy)
     return calls
@@ -276,18 +277,22 @@ class TestStack:
 
     def test_floor_member_does_not_hide_a_later_wide_spectrum(self):
         # The first member is NotApplicable by the e_i floor alone; the second
-        # passes every rule but has eigenvalues of about +-2.05e308.
+        # passes every rule but has eigenvalues of about +-2.05e308.  The
+        # stack records each as it is alone, in either order.
         cfg = ToleranceConfig(eig_gap_tol=1e-8, zero_tol=1e-5, match_tol=1e-5)
         floor = np.array([[0, 1], [0, 1e-6]], dtype=np.complex128)
         wide = np.array([[1.5e308, 1.5e308], [1.5e308, -1.4e308]], dtype=np.complex128)
-        assert compute_spectral_data(floor, cfg).reason.startswith(
-            "effectively degenerate spectrum")
+        not_applicable = compute_spectral_data(floor, cfg)
+        assert not_applicable.reason.startswith("effectively degenerate spectrum")
         with pytest.raises(NumericalBreakdownError) as alone:
             compute_spectral_data(wide, cfg)
         assert str(alone.value).startswith("spectrum beyond the float range")
-        with pytest.raises(NumericalBreakdownError) as stacked:
-            compute_spectral_data(np.array([floor, wide]), cfg)
-        assert str(stacked.value) == str(alone.value)
+        for members, (first, second) in (((floor, wide), (0, 1)), ((wide, floor), (1, 0))):
+            data, skipped = compute_spectral_data(np.array(members), cfg)
+            assert len(data.lambdas) == 0
+            assert skipped[first] == not_applicable
+            assert type(skipped[second]) is NumericalBreakdownError
+            assert str(skipped[second]) == str(alone.value)
 
     def test_empty_stack(self):
         data, skipped = compute_spectral_data(np.zeros((0, 3, 3)))
