@@ -15,7 +15,8 @@ a planted candidate is a block of one.  The counts and the hits come from
 the arrays of final verdicts and test outcomes that ``classify`` returns on
 a stack; no report and no certificate are built for a candidate, so a UECSM
 count is a count of StrongAngle passes.  Candidates whose spectrum is
-repeated at working precision are skipped (counted as not applicable); the
+repeated are skipped (counted as not applicable): exactly so at n = 3,
+where the discriminant decides, and at working precision otherwise.  The
 rare candidate that triggers a numerical breakdown inside the eigensystem
 is counted and skipped rather than aborting a long search: the stack
 records it, as it records a NotApplicable.  Only a block whose stacked call
@@ -35,10 +36,11 @@ import numpy as np
 from .criteria import TEST_KINDS, FinalVerdict, Outcome, classify
 from .linalg import DEFAULT_TOLERANCES, LinearAlgebraError, ToleranceConfig, as_matrix
 
-# A block holds at most this many matrix entries (113 candidates at n = 3).
-# Larger blocks spread the fixed cost of a stacked call over more candidates,
-# and a block that holds a breakdown costs one call like any other.
-_BLOCK_ENTRIES = 1024
+# A block holds at most this many matrix entries (227 candidates at n = 3,
+# 128 at n = 4).  Larger blocks spread the fixed cost of a stacked call over
+# more candidates, and a block that holds a breakdown costs one call like any
+# other; 2048 decides the 3 x 3 and 4 x 4 search streams faster than 1024.
+_BLOCK_ENTRIES = 2048
 
 
 @dataclass(frozen=True)

@@ -17,18 +17,27 @@ eps**(1/3) * ||T||, far above any reasonable gap tolerance).
 
 Both bases come from one LAPACK ``eig`` of T, v_i from the columns of
 inv(U)* (the left eigenvectors); a column is refined only where its
-residual misses a target near machine precision.  Each vector keeps the
-arbitrary unimodular phase it comes with; everything consumed downstream
-is phase-invariant or covariant in a controlled way, and tested for it.
+residual misses a target near machine precision.  A real T takes LAPACK's
+real routine, for T and for T*.  Each vector keeps the arbitrary
+unimodular phase it comes with; everything consumed downstream is
+phase-invariant or covariant in a controlled way, and tested for it.
+
+The hypothesis is decided exactly where that is cheap: a real 3 x 3 T with
+integer entries has a repeated eigenvalue exactly when the discriminant of
+its characteristic polynomial is zero, and such a T is NotApplicable
+before any LAPACK call, whatever rounding would make of it.  Every other
+input is judged at working precision, by the rules below.
 
 Each matrix's paired data depends on that matrix alone, so a (B, n, n)
-stack runs as one: one LAPACK call per step for the whole stack, array
-reductions per row, and per-row rules (the gap, the adjoint pairing, the
-e_i floor) that drop a NotApplicable member before the next step.  The
-adjoint pairing fails by the offset of a match alone.  A member that
-breaks down (a stalled inverse iteration, lost biorthogonality, a spectrum
-beyond the float range) is a fact about that matrix too: the stack records
-the error the member raises alone and decides the rest.  Only a stacked
+stack runs as one: one LAPACK call per step for the whole stack (split by
+member between the real and the complex routine), array reductions per
+row, and per-row rules (the exact discriminant, the gap, the adjoint
+pairing, the e_i floor) that drop a NotApplicable member before the next
+step.  The adjoint pairing fails by the offset of a match alone.  A
+member that breaks down (a stalled inverse iteration, lost
+biorthogonality, a spectrum beyond the float range) is a fact about that
+matrix too: the stack records the error the member raises alone and
+decides the rest.  Only a stacked
 LAPACK call that fails as a whole fails the stack.  One matrix is a stack
 of one, and raises its breakdown.
 """
@@ -175,6 +184,51 @@ def _gap_rule(lam, threshold, exponent) -> list[NotApplicable | None]:
     return verdicts
 
 
+# Exponents of ``power_of_two_rescale`` up to this one bound every entry
+# below 2**8 = 256 in magnitude, which keeps every term of ``_discriminant``
+# in int64: the terms sum in absolute value to at most 4752 * 256**6 < 2**63.
+_INT64_EXPONENT = 8
+
+_EXACTLY_REPEATED = NotApplicable(
+    reason="exactly repeated spectrum: the characteristic polynomial of the "
+           "integer matrix has discriminant 0")
+
+
+def _discriminant(a, b, c, d, e, f, g, h, i):
+    """The discriminant of det(x I - M), M = [[a, b, c], [d, e, f], [g, h, i]],
+    in the arithmetic of the entries (int64 arrays or Python integers): zero
+    exactly when M has a repeated eigenvalue.  With p = x**3 - t x**2 + q x - r
+    it is t**2 q**2 - 4 t**3 r + 18 t q r - 4 q**3 - 27 r**2."""
+    minors = e * i - f * h, d * i - f * g, d * h - e * g
+    t = a + e + i
+    q = a * e - b * d + a * i - c * g + minors[0]
+    r = a * minors[0] - b * minors[1] + c * minors[2]
+    return t * t * (q * q - 4 * t * r) + 18 * t * q * r - 4 * q * q * q - 27 * r * r
+
+
+def _exact_rule(a, exponent) -> list[NotApplicable | None]:
+    """The exact gate on each member of the rescaled (B, n, n) stack ``a``,
+    with one exponent per member: a real 3 x 3 member whose entries are
+    integers in the units of T, 2**exponent times those of ``a``, is
+    NotApplicable when its characteristic polynomial has discriminant 0.
+    Members with every entry below 2**8 in magnitude get the discriminant
+    in int64 at once, the other integer members one by one in Python
+    integers."""
+    if a.shape[-1] != 3:
+        return [None] * len(a)
+    real = ~a.imag.any(axis=(-2, -1))
+    if not np.count_nonzero(real):
+        return [None] * len(a)
+    t = np.ldexp(a.real.reshape(len(a), 9), exponent[:, None])    # in the units of T
+    integral = real & (t == np.rint(t)).all(axis=-1)
+    small = integral & (exponent <= _INT64_EXPONENT)
+    repeated = np.zeros(len(a), dtype=bool)
+    repeated[small] = _discriminant(*t[small].astype(np.int64).T) == 0
+    for b in np.flatnonzero(integral & ~small).tolist():
+        repeated[b] = _discriminant(*map(int, t[b].tolist())) == 0
+    return [_EXACTLY_REPEATED if r else None for r in repeated.tolist()]
+
+
 def _pair_adjoint(lam, mu, half_gap, exponent) -> tuple[np.ndarray, list[NotApplicable | None]]:
     """Pair each conj(lambda_i) with its nearest adjoint eigenvalue
     ``shifts[:, i]``, row by row of (B, n) ``lam`` and ``mu`` with one
@@ -205,8 +259,10 @@ def compute_spectral_data(
         SpectralData, tuple[NotApplicable | LinearAlgebraError | None, ...]]:
     """Compute the full paired eigensystem of ``t``, or NotApplicable.
 
-    NotApplicable covers three situations: the sorted spectrum violates the
-    gap tolerance; the adjoint's computed spectrum fails to pair with the
+    NotApplicable covers four situations: a real 3 x 3 ``t`` with integer
+    entries has a characteristic polynomial of discriminant 0 (decided
+    exactly, before any LAPACK call); the sorted spectrum violates the gap
+    tolerance; the adjoint's computed spectrum fails to pair with the
     conjugated eigenvalues within half the gap threshold; or some
     |<u_i, v_i>| falls below zero_tol (spectrum effectively degenerate at
     working precision).  A breakdown, by contrast, is an error: inverse
@@ -244,9 +300,9 @@ def _paired_eigensystems(a, exponent, cfg: ToleranceConfig
     Members found NotApplicable drop out as soon as they are, so every later
     step sees only what the matrix alone would reach: the stacked ``inv``
     in particular fails if any of its members is singular.  Each member
-    gets its first rule that fails, in the order of the steps: the gap,
-    the adjoint pairing, the u stall, the v stall, the e_i floor,
-    biorthogonality, then the float range.
+    gets its first rule that fails, in the order of the steps: the exact
+    discriminant, the gap, the adjoint pairing, the u stall, the v stall,
+    the e_i floor, biorthogonality, then the float range.
     """
     skipped = [None] * len(a)
     rows = range(len(a))    # the members still in play
@@ -260,6 +316,12 @@ def _paired_eigensystems(a, exponent, cfg: ToleranceConfig
         rows = [b for b, f in zip(rows, found) if f is None]
         keep = np.array([f is None for f in found], dtype=bool)
         return [x[keep] for x in arrays]
+
+    found = _exact_rule(a, exponent)
+    if any(found):
+        a, exponent = drop(found, a, exponent)
+    if not len(rows):
+        return _no_data(a.shape[-1]), tuple(skipped)
 
     scale = frobenius_norm(a)
     lam, u = eigensystem(a)

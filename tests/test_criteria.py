@@ -180,8 +180,10 @@ class TestCounterexample:
 
 
 # An input the search once drew as candidate 2197 of seed 0, written out so
-# that a change to the candidate stream cannot swap it: np.abs rounds |det U|
-# of it one ulp away from abs(complex).
+# that a change to the candidate stream cannot swap it.  Being real, it gets
+# its eigenvectors from LAPACK's real routine, in conjugate pairs, so det U
+# is purely imaginary and np.abs agrees with abs(complex) on it; on i times
+# it, which takes the complex routine, np.abs rounds |det U| one ulp away.
 CANDIDATE_2197 = np.array([[3, 8, 0], [-8, -3, 0], [-4, -3, 4]], dtype=np.complex128)
 
 
@@ -190,11 +192,13 @@ class TestTableOne:
     def test_published_verdicts(self, fx):
         assert classify(fx.matrix()).final.value == fx.expected_final
 
-    @pytest.mark.parametrize("t", [*(fx.matrix() for fx in TABLE1), CANDIDATE_2197],
-                             ids=[*(fx.label for fx in TABLE1), "candidate-2197"])
+    @pytest.mark.parametrize("t", [*(fx.matrix() for fx in TABLE1), CANDIDATE_2197,
+                                   1j * CANDIDATE_2197],
+                             ids=[*(fx.label for fx in TABLE1), "candidate-2197",
+                                  "candidate-2197-times-i"])
     def test_parallelepiped_volumes_round_like_complex_abs(self, t):
         # np.abs on complex128 can differ from abs(complex) in the last bit,
-        # as it does for |det U| of the search candidate.
+        # as it does for |det U| of i times the search candidate.
         sd = compute_spectral_data(t)
         w = parallelepiped_test(sd).witness
         assert w.left == abs(complex(np.linalg.det(sd.u_basis)))
@@ -202,6 +206,8 @@ class TestTableOne:
 
     def test_candidate_2197_rounds_apart_under_np_abs(self):
         det = np.linalg.det(compute_spectral_data(CANDIDATE_2197).u_basis)
+        assert det.real == 0.0 and np.abs(det) == abs(complex(det))
+        det = np.linalg.det(compute_spectral_data(1j * CANDIDATE_2197).u_basis)
         assert np.abs(det) != abs(complex(det))
 
 

@@ -84,6 +84,36 @@ class TestEigenvalues:
             np.testing.assert_allclose(np.linalg.norm(vec, axis=0), 1.0, atol=1e-13)
             assert np.linalg.norm(a @ vec - vec * lam) <= 1e-12 * np.linalg.norm(a)
 
+    def test_real_matrix_takes_the_real_routine(self):
+        # A matrix with no imaginary part gets LAPACK's real results, as
+        # complex128, with its complex eigenvalues in exact conjugate pairs;
+        # a real matrix with real eigenvalues as well.
+        rng = np.random.default_rng(5)
+        for a in (rng.standard_normal((4, 4)), np.triu(rng.standard_normal((4, 4)))):
+            lam, vec = eigensystem(a.astype(np.complex128))
+            w, v = np.linalg.eig(a)
+            order = np.lexsort((w.imag, w.real))
+            assert lam.dtype == vec.dtype == np.complex128
+            assert lam.tobytes() == w[order].astype(np.complex128).tobytes()
+            assert vec.tobytes() == v[:, order].astype(np.complex128).tobytes()
+            assert eigenvalues(a - 0j).tobytes() == np.sort(
+                np.linalg.eigvals(a).astype(np.complex128)).tobytes()
+            assert np.array_equal(lam, np.sort(np.conj(lam)))
+
+    @pytest.mark.parametrize("kinds", ["rcr", "rrr", "ccc", "crc"])
+    def test_mixed_stack_gives_each_member_its_own_bits(self, kinds):
+        # "r" an integer matrix, "c" one with a Gaussian imaginary part.
+        rng = np.random.default_rng(6)
+        stack = np.array([rng.integers(-3, 4, (3, 3)) + (k == "c") * 1j * rng.standard_normal((3, 3))
+                          for k in kinds])
+        lam, vec = eigensystem(stack)
+        values = eigenvalues(stack)
+        for b, t in enumerate(stack):
+            alone = eigensystem(t)
+            assert lam[b].tobytes() == alone[0].tobytes()
+            assert vec[b].tobytes() == alone[1].tobytes()
+            assert values[b].tobytes() == eigenvalues(t).tobytes()
+
 
 class TestUnitEigenvector:
     def test_residual_near_machine_precision(self):

@@ -17,7 +17,7 @@ every run checks the same examples.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uecsm.criteria import FinalVerdict, classify
@@ -94,14 +94,16 @@ def test_report_ignores_memory_layout(seed, n, symmetric_core):
 
 
 # Sign matrices whose eigensystems break down alone: inverse iteration
-# stalls, except for the second at n = 4, which loses biorthogonality.
+# stalls, except for the second at n = 4, which loses biorthogonality.  At
+# n = 3 it is half a sign matrix: the exact gate decides every 3 x 3
+# integer matrix with a repeated spectrum before it can break down.
 # test_breakdown_members_raise_alone asserts it.
 BREAKDOWNS = {
-    3: [[[0, -1, 0], [1, 0, 1], [-1, 1, -1]]],
-    4: [[[0, 1, 1, 1], [0, 1, -1, -1], [1, 0, 0, -1], [0, 1, 1, 1]],
-        [[0, 1, -1, 1], [0, 0, 0, 0], [-1, -1, 0, 1], [1, 1, -1, -1]]],
-    5: [[[-1, 0, 1, 0, 1], [-1, 0, 0, 1, -1], [-1, 0, 0, -1, 1], [0, 0, 1, 0, 1],
-         [-1, 1, -1, 0, 0]]],
+    3: [[[-0.5, -0.5, -0.5], [-0.5, -0.5, -0.5], [0, 0.5, 0]]],
+    4: [[[0, -1, -1, 0], [-1, 0, -1, -1], [-1, 1, 1, 0], [1, 0, 0, 0]],
+        [[-1, -1, 1, 1], [0, -1, 0, 1], [0, -1, 1, 1], [1, 0, -1, 0]]],
+    5: [[[0, 0, -1, -1, 0], [-1, -1, 0, -1, -1], [1, -1, 0, -1, -1], [-1, 1, 0, -1, 0],
+         [1, -1, -1, 1, 0]]],
     6: [[[1, 0, -1, 1, 0, 1], [1, 0, 0, 1, -1, 0], [1, -1, -1, 0, 0, 1],
          [0, -1, -1, 0, 0, 1], [-1, 0, -1, -1, -1, 1], [0, 0, 0, -1, -1, 0]]],
 }
@@ -115,10 +117,16 @@ def test_breakdown_members_raise_alone():
 
 def stack_member(seed, n, kind):
     """Ginibre, constructed UECSM, a normal matrix with a doubled
-    eigenvalue (NotApplicable; Ginibre at n = 1), or one of BREAKDOWNS
-    (Ginibre at n <= 2)."""
+    eigenvalue (NotApplicable; Ginibre at n = 1), one of BREAKDOWNS
+    (Ginibre at n <= 2), a real Gaussian matrix, or a real integer matrix
+    with entries in [-1, 1] (whose exactly repeated spectra the exact gate
+    decides at n = 3)."""
     if kind == "breakdown" and n in BREAKDOWNS:
         return np.array(BREAKDOWNS[n][seed % len(BREAKDOWNS[n])], dtype=np.complex128)
+    if kind in ("real", "integer"):
+        rng = np.random.default_rng(seed)
+        draw = rng.standard_normal((n, n)) if kind == "real" else rng.integers(-1, 2, (n, n))
+        return draw.astype(np.complex128)
     if kind != "doubled" or n == 1:
         return drawn_matrix(seed, n, symmetric_core=kind == "uecsm")
     rng = np.random.default_rng(seed)
@@ -140,9 +148,14 @@ def eigensystem_error(t):
 @PROPERTY
 @given(n=st.integers(min_value=1, max_value=6),
        members=st.lists(st.tuples(SEEDS, st.sampled_from(("ginibre", "uecsm", "doubled",
-                                                           "breakdown"))),
+                                                           "breakdown", "real", "integer"))),
                         min_size=1, max_size=8),
        order_seed=SEEDS)
+# Integer members 2 and 5 at n = 3 go to the exact gate, integer 0 and the
+# real members to LAPACK's real routine, the rest to its complex one.
+@example(n=3, members=[(2, "integer"), (0, "ginibre"), (0, "integer"), (1, "breakdown"),
+                       (4, "real"), (5, "integer"), (3, "doubled"), (6, "uecsm")],
+         order_seed=1)
 def test_stack_matches_single_calls(n, members, order_seed):
     stack = np.array([stack_member(seed, n, kind) for seed, kind in members])
     errors = [eigensystem_error(t) for t in stack]

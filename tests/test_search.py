@@ -22,7 +22,6 @@ from uecsm.fixtures import find_fixture
 from uecsm.linalg import (
     DEFAULT_TOLERANCES,
     EigenSolverError,
-    LinearAlgebraError,
     NumericalBreakdownError,
 )
 from uecsm.search import SearchResult, _hits, _reports, candidate_matrix, run_search
@@ -30,28 +29,41 @@ from uecsm.search import SearchResult, _hits, _reports, candidate_matrix, run_se
 
 COUNTEREXAMPLE = find_fixture("strong-angle-counterexample").matrix()
 CLOSED_FORM = find_fixture("closed-form-s").matrix()
-# Inputs the search once drew as candidates of seed 0, written out so that a
+# Candidates of the 4 x 4 [-1, 1] stream of seed 3, written out so that a
 # change to the candidate stream cannot swap them; the tests that use them
-# assert their roles.  The eigensystem of candidate 3006 stalls in inverse
-# iteration; candidate 550 has an exactly repeated, defective eigenvalue
-# whose adjoint spectrum does not pair with the conjugated eigenvalues.
-BREAKDOWN = np.array([[-6, -3, -3], [-5, -4, 3], [8, 4, -3]], dtype=np.complex128)
-PAIRING_FAILURE = np.array([[0, -9, 9], [-6, 5, 4], [0, -6, 6]], dtype=np.complex128)
-# Candidates 550, 383, 3005, 3006, 3007, 9816, 9817, 9818 and 1035 with their
+# assert their roles.  The 3 x 3 integer stream no longer breaks down: the
+# exact gate decides every exactly repeated 3 x 3 integer spectrum.  Both
+# inputs here have an exactly repeated spectrum, which no gate sees at
+# n = 4: the eigensystem of candidate 41 stalls in inverse iteration, and
+# the adjoint spectrum of candidate 28 does not pair with the conjugated
+# eigenvalues.
+BREAKDOWN = np.array([[-1, 1, 0, -1], [1, 0, 0, 1], [0, 1, 1, -1], [1, 1, 1, 0]],
+                     dtype=np.complex128)
+PAIRING_FAILURE = np.array([[0, -1, 0, 0], [0, 0, 1, -1], [-1, 0, 0, 0], [0, -1, 1, -1]],
+                           dtype=np.complex128)
+# Candidates 28, 0, 2, 41, 5, 7, 277, 8 and 1 of that stream with their
 # outcomes alone: every final verdict, and two breakdowns ("").
 MIXED = np.array([
     PAIRING_FAILURE,
-    [[0, -5, -1], [-2, 0, 8], [8, -1, 6]],
-    [[0, 6, 2], [2, 1, 7], [-8, -1, -6]],
+    [[1, -1, 0, 1], [1, 0, -1, 0], [-1, 0, 0, -1], [1, -1, 1, 1]],
+    [[0, 1, -1, 0], [0, 0, 0, 0], [0, 0, -1, -1], [-1, 0, 0, -1]],
     BREAKDOWN,
-    [[9, -8, -8], [5, 9, 2], [-6, 8, -7]],
-    [[4, 1, -9], [4, -2, -6], [7, 0, 6]],
-    [[9, -2, 7], [5, 6, 3], [-1, 2, 1]],
-    [[-2, 6, 9], [-7, -6, -6], [0, -2, 1]],
-    [[-7, -4, 2], [4, 7, 6], [2, -6, 2]],
+    [[1, 0, 0, -1], [0, 0, 1, -1], [-1, 1, 0, -1], [0, 0, 1, 0]],
+    [[-1, 1, -1, 1], [-1, 0, -1, 0], [0, -1, 1, 1], [-1, 1, 0, 1]],
+    [[-1, 0, 0, 1], [-1, 0, 0, 1], [0, -1, 1, 0], [0, -1, 1, 0]],
+    [[0, -1, 0, 1], [1, 0, 1, -1], [0, -1, 0, 0], [1, 1, -1, 0]],
+    [[1, 1, -1, -1], [1, 0, 0, 1], [0, 0, -1, 1], [0, -1, 0, -1]],
 ], dtype=np.complex128)
 MIXED_FINAL = ["NotApplicable", "UECSM", "NotUECSM", "", "NotUECSM", "NotUECSM", "",
                "NotUECSM", "UECSM"]
+# c12 candidate 15768: p = x**2 (x - 1), a Jordan block at 0.  LAPACK's
+# complex routine split the double eigenvalue past the gap threshold and
+# the adjoint paired, so it got a NotUECSM verdict; the exact gate decides
+# it before any LAPACK call.
+CANDIDATE_15768 = np.array([[9, 5, -9], [-6, 1, 6], [9, 5, -9]], dtype=np.complex128)
+# The sign grid: every 3 x 3 matrix with entries in {-1, 0, 1}, in
+# itertools.product order.
+SIGN_GRID = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=9))).reshape(-1, 3, 3)
 # Entry ranges of the stream tests, from one value to the whole int64 range.
 RANGES = [(-9, 9), (0, 0), (-1, 1), (0, 2**31), (-2**31, 2**31 - 3), (-2**40, 2**40),
           (-2**63, 2**63 - 1)]
@@ -167,27 +179,65 @@ class TestHitPredicate:
         assert is_hit(find_fixture("necessary-tests-fail").matrix()) is False
 
 
+def discriminants(stack):
+    """The discriminant of the characteristic polynomial of each 3 x 3
+    integer matrix of ``stack``, in Python integers from the coefficients
+    of det(x I - M) = x**3 - t x**2 + q x - r: q sums the principal 2 x 2
+    minors, r is the determinant by the Leibniz formula."""
+    out = []
+    for m in np.real(stack).astype(int).tolist():
+        t = m[0][0] + m[1][1] + m[2][2]
+        q = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+        r = sum((-1) ** sum(p[i] > p[j] for i, j in ((0, 1), (0, 2), (1, 2)))
+                * m[0][p[0]] * m[1][p[1]] * m[2][p[2]] for p in itertools.permutations(range(3)))
+        out.append(t * t * q * q - 4 * t**3 * r + 18 * t * q * r - 4 * q**3 - 27 * r * r)
+    return np.array(out)
+
+
 class TestSignGrid:
     def test_every_tenth_matrix_is_pinned(self):
-        # Every 10th matrix of the 3x3 grid with entries in {-1, 0, 1}, in
-        # itertools.product order: exactly repeated integer spectra end as
-        # NotApplicable, by the gap or the adjoint pairing, or as breakdowns.
-        grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=9)))
-        grid = grid[::10].reshape(-1, 3, 3)
+        # Every 10th matrix of the sign grid: exactly repeated integer spectra
+        # end as NotApplicable by the exact gate, and nothing breaks down.
+        grid = SIGN_GRID[::10]
         final, outcomes = _reports(grid, 0, DEFAULT_TOLERANCES)
         assert Counter(final.tolist()) == {
-            FinalVerdict.NOT_APPLICABLE.value: 431, FinalVerdict.UECSM.value: 566,
-            FinalVerdict.NOT_UECSM.value: 952, "": 20}
+            FinalVerdict.NOT_APPLICABLE.value: 456, FinalVerdict.UECSM.value: 561,
+            FinalVerdict.NOT_UECSM.value: 952}
         assert not _hits(outcomes).any()
         rules = Counter(classify(t).not_applicable.reason.split()[0]
                         for t in grid[final == FinalVerdict.NOT_APPLICABLE.value])
-        assert rules == {"repeated": 374, "adjoint": 57}
-        errors = Counter()
-        for t in grid[final == ""]:
-            with pytest.raises(LinearAlgebraError) as info:
-                classify(t)
-            errors[type(info.value).__name__] += 1
-        assert errors == {"EigenSolverError": 19, "NumericalBreakdownError": 1}
+        assert rules == {"exactly": 456}
+        repeated = discriminants(grid) == 0
+        assert ((final == FinalVerdict.NOT_APPLICABLE.value) == repeated).all()
+
+    def test_every_uecsm_verdict_is_certified(self):
+        # On every 10th matrix of the sign grid, each UECSM verdict carries a
+        # certificate that checks; on an exactly repeated spectrum none did.
+        grid = SIGN_GRID[::10]
+        final, _ = _reports(grid, 0, DEFAULT_TOLERANCES)
+        reports = [classify(t) for t in grid[final == FinalVerdict.UECSM.value]]
+        assert len(reports) == 561
+        assert all(r.certificate.is_valid() for r in reports)
+
+    @pytest.mark.parametrize("stack", [
+        SIGN_GRID[::10],
+        candidate_matrix(29, range(2000), 3, -2, 2),
+    ], ids=["sign-grid", "range-2"])
+    def test_final_verdict_does_not_depend_on_the_frame(self, stack):
+        # Every 10th matrix of the sign grid, and a seeded sample of
+        # [-2, 2]^(3x3): a cyclic permutation similarity P T P^t (np.roll on
+        # both axes), the transpose and the negation each leave every final
+        # verdict as it is.
+        final, _ = _reports(stack, 0, DEFAULT_TOLERANCES)
+        assert "" not in final.tolist()
+        for variant in (np.roll(stack, 1, axis=(-2, -1)), stack.swapaxes(-1, -2), -stack):
+            assert _reports(variant, 0, DEFAULT_TOLERANCES)[0].tolist() == final.tolist()
+
+    def test_candidate_15768_is_decided_by_the_exact_gate(self):
+        assert discriminants(CANDIDATE_15768[None]).tolist() == [0]
+        report = classify(CANDIDATE_15768)
+        assert report.final is FinalVerdict.NOT_APPLICABLE
+        assert report.not_applicable.reason.startswith("exactly repeated spectrum")
 
 
 class TestRunSearch:
@@ -201,25 +251,26 @@ class TestRunSearch:
     def test_verdict_stream_is_pinned(self):
         # Counts and hits of the first 2000 candidates, pinned so that a
         # change to the eigensystem cannot move the verdict stream silently.
-        # Candidates 1422 and 1968 are NotApplicable by the gap rule.
+        # Candidates 1422 and 1968 are NotApplicable by the exact gate.
         result = run_search(2000, seed=0)
         assert (result.candidates, result.not_applicable, result.breakdown,
                 result.uecsm, result.not_uecsm) == (2000, 2, 0, 13, 1985)
         assert [h.index for h in result.hits] == []
 
     def test_breakdown_in_the_stream_is_pinned(self):
-        # Candidate 2597 of seed 3 raises alone; its stream block, [2486,
-        # 2599), records it and decides the other candidates.
+        # Candidate 41 of the 4 x 4 [-1, 1] stream of seed 3 raises alone; its
+        # stream block, [0, 100), records it and decides the other candidates.
         with pytest.raises(EigenSolverError):
-            classify(candidate_matrix(3, 2597, 3, -9, 9))
-        result = run_search(2600, seed=3)
+            classify(candidate_matrix(3, 41, 4, -1, 1))
+        result = run_search(100, dim=4, entry_low=-1, entry_high=1, seed=3)
         assert (result.candidates, result.not_applicable, result.breakdown,
-                result.uecsm, result.not_uecsm) == (2600, 1, 1, 4, 2594)
+                result.uecsm, result.not_uecsm) == (100, 16, 1, 9, 74)
         assert result.hits == []
 
     def test_every_classify_call_gets_a_stack(self, monkeypatch):
-        # One call per block: 2600 candidates are 24 blocks of at most 113,
-        # and the block that holds the breakdown at 2597 records it.
+        # One call per block: blocks hold at most 227 candidates at n = 3 and
+        # 128 at n = 4, and the block that holds the breakdowns at 41 and 277
+        # records them.
         calls = []
 
         def spy(m, cfg, seed):
@@ -227,10 +278,13 @@ class TestRunSearch:
             return classify(m, cfg, seed=seed)
 
         monkeypatch.setattr(search, "classify", spy)
-        assert run_search(2600, seed=3).breakdown == 1
-        assert calls == [(k, (min(113, 2600 - k), 3, 3)) for k in range(0, 2600, 113)]
+        run_search(500, seed=3)
+        assert calls == [(k, (min(227, 500 - k), 3, 3)) for k in range(0, 500, 227)]
+        del calls[:]
+        assert run_search(300, dim=4, entry_low=-1, entry_high=1, seed=3).breakdown == 2
+        assert calls == [(k, (min(128, 300 - k), 4, 4)) for k in range(0, 300, 128)]
         run_search(3, inject=(COUNTEREXAMPLE, BREAKDOWN, CLOSED_FORM))
-        assert [shape for _, shape in calls[24:]] == [(1, 4, 4), (1, 3, 3), (1, 3, 3)]
+        assert [shape for _, shape in calls[3:]] == [(1, 4, 4), (1, 4, 4), (1, 3, 3)]
 
     def test_builds_no_report_objects(self, monkeypatch):
         # Counts and hits come from the stacked arrays: no report, verdict or
@@ -241,8 +295,8 @@ class TestRunSearch:
             monkeypatch.setattr(criteria, name,
                                 lambda *args, _cls=cls, **kwargs: built.append(_cls.__name__)
                                 or _cls(*args, **kwargs))
-        result = run_search(2600, seed=3)
-        assert (result.breakdown, result.uecsm) == (1, 4)
+        result = run_search(300, dim=4, entry_low=-1, entry_high=1, seed=3)
+        assert (result.breakdown, result.uecsm) == (2, 21)
         assert built == []
 
     def test_builds_no_certificate(self, monkeypatch):
@@ -251,8 +305,8 @@ class TestRunSearch:
         certificate = criteria._certificate
         monkeypatch.setattr(criteria, "_certificate",
                             lambda *args: built.append(args) or certificate(*args))
-        result = run_search(2600, seed=3)
-        assert (result.breakdown, result.uecsm) == (1, 4)
+        result = run_search(300, dim=4, entry_low=-1, entry_high=1, seed=3)
+        assert (result.breakdown, result.uecsm) == (2, 21)
         assert built == []
 
     def test_counts_are_a_partition(self):
@@ -329,7 +383,7 @@ class TestRunSearch:
     def test_a_stack_records_the_error_its_member_raises(self):
         with pytest.raises(EigenSolverError) as alone:
             classify(BREAKDOWN)
-        stack = candidate_matrix(0, range(2990, 3010), 3, -9, 9)
+        stack = candidate_matrix(3, range(1100, 1120), 4, -1, 1)
         stack[16] = BREAKDOWN    # planted in a stream block
         reports = classify(stack)
         assert [b for b, e in enumerate(reports.breakdowns) if e is not None] == [16]
@@ -360,13 +414,13 @@ class TestRunSearch:
         assert seeds == list(range(2600))
 
     def test_dim4_sign_stream_is_pinned(self):
-        # The dim-4 [-1, 1] stream breaks down in about 0.7% of candidates,
-        # so most of its blocks of 64 hold a breakdown; each is one call.
+        # The dim-4 [-1, 1] stream breaks down in about 0.8% of candidates,
+        # so most of its blocks of 128 hold a breakdown; each is one call.
         results = [run_search(4000, dim=4, entry_low=-1, entry_high=1, seed=3, workers=w)
                    for w in (1, 2)]
         for result in results:
             assert (result.not_applicable, result.breakdown, result.uecsm,
-                    result.not_uecsm) == (636, 30, 270, 3064)
+                    result.not_uecsm) == (632, 34, 270, 3064)
             assert len(result.hits) == 3
         assert [h.index for h in results[0].hits] == [h.index for h in results[1].hits]
 
@@ -381,7 +435,8 @@ class TestRunSearch:
                 report = classify(m)
                 assert (f, o.tolist()) == (report.final.value,
                                            [v.outcome.value for v in report.verdicts])
-        # Pairing with conj(lambda) would call the defective member NotUECSM.
+        # At n = 4 the adjoint pairing, not an exact gate, decides the
+        # exactly repeated spectrum of the first member.
         assert classify(PAIRING_FAILURE).not_applicable.reason.startswith(
             "adjoint spectrum does not pair")
 

@@ -34,12 +34,20 @@ from uecsm.spectral import (
 
 # Inputs the search once drew as candidates 7, 550 and 8315 of seed 0,
 # written out so that a change to the candidate stream cannot swap them.
-# 550 has an exactly repeated, defective eigenvalue and 8315 a near one:
-# the adjoint spectrum of each fails to pair.  7 is applicable.
+# 550 and 8315 have an exactly repeated eigenvalue: the exact gate decides
+# them, and without it the adjoint spectrum of each would fail to pair.
+# 7 is applicable.  Candidates 28 and 30 of the 4 x 4 [-1, 1] stream of
+# seed 3 have exactly repeated spectra too, which no gate sees at n = 4:
+# the adjoint pairing decides them.
 # test_written_out_candidates_keep_their_roles asserts these roles.
 CANDIDATE_7 = np.array([[6, 2, -9], [7, 8, -3], [8, 4, 5]], dtype=np.complex128)
 CANDIDATE_550 = np.array([[0, -9, 9], [-6, 5, 4], [0, -6, 6]], dtype=np.complex128)
 CANDIDATE_8315 = np.array([[5, 9, 7], [8, -8, -7], [-9, 3, 4]], dtype=np.complex128)
+SIGN_28 = np.array([[0, -1, 0, 0], [0, 0, 1, -1], [-1, 0, 0, 0], [0, -1, 1, -1]],
+                   dtype=np.complex128)
+SIGN_30 = np.array([[0, 0, 1, -1], [0, -1, -1, 0], [-1, 0, 1, -1], [0, 0, -1, 1]],
+                   dtype=np.complex128)
+EXACTLY_REPEATED = "exactly repeated spectrum"
 
 
 @pytest.fixture(scope="module")
@@ -250,8 +258,9 @@ class TestPairAdjoint:
 
 class TestStack:
     @pytest.mark.parametrize("members, cfg", [
-        # repeated spectrum, adjoint pairing failure, applicable
-        ([np.diag([1.0, 1.0, 2.0]), CANDIDATE_550, family_member(-5), CANDIDATE_7],
+        # exact gate, repeated spectrum, adjoint pairing failure, applicable
+        ([CANDIDATE_550, np.diag([0.5, 0.5, 1.0]), find_fixture("table2-row3").matrix(),
+          family_member(-5), CANDIDATE_7],
          DEFAULT_TOLERANCES),
         # repeated spectrum, applicable, collapsed min |<u_i, v_i>|, applicable
         ([np.diag([1.0, 1.0, 2.0, 3.0, 4.0]), np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + 0.5j,
@@ -328,10 +337,10 @@ class TestNotApplicable:
         assert verdict.reason
 
     @pytest.mark.parametrize("t", [
-        CANDIDATE_550, CANDIDATE_8315,
+        SIGN_28, SIGN_30,
         *(find_fixture(label).matrix() for label in ("table2-row3", "table3-row4")),
         family_member(-5),
-    ], ids=["candidate-550", "candidate-8315", "table2-row3", "table3-row4", "paired"])
+    ], ids=["sign-28", "sign-30", "table2-row3", "table3-row4", "paired"])
     def test_adjoint_pairing_matches_reference_loop(self, t):
         expected = loop_pairing(t)
         sd = compute_spectral_data(t)
@@ -342,8 +351,12 @@ class TestNotApplicable:
             assert expected in sd.reason
 
     def test_written_out_candidates_keep_their_roles(self):
-        assert loop_pairing(CANDIDATE_550) is not None
-        assert loop_pairing(CANDIDATE_8315) is not None
+        for t in (CANDIDATE_550, CANDIDATE_8315):
+            assert loop_pairing(t) is not None
+            assert compute_spectral_data(t).reason.startswith(EXACTLY_REPEATED)
+        for t in (SIGN_28, SIGN_30):
+            assert loop_pairing(t) is not None
+            assert compute_spectral_data(t).reason.startswith("adjoint spectrum does not pair")
         assert loop_pairing(CANDIDATE_7) is None
         assert isinstance(compute_spectral_data(CANDIDATE_7), SpectralData)
 
@@ -374,6 +387,68 @@ class TestNotApplicable:
         sd = compute_spectral_data(np.array([[3.0 + 1j]]))
         assert isinstance(sd, SpectralData)
         assert abs(abs(sd.e_diag[0]) - 1.0) < 1e-12
+
+
+def gated(t) -> bool:
+    """Whether the exact gate decides ``t``, run as a stack of one so that a
+    breakdown of the later steps is recorded rather than raised."""
+    (found,) = compute_spectral_data(np.asarray(t, dtype=np.complex128)[None])[1]
+    return isinstance(found, NotApplicable) and found.reason.startswith(EXACTLY_REPEATED)
+
+
+class TestExactGate:
+    def test_decided_before_any_lapack_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectral, "eigensystem", lambda *args: calls.append(args))
+        members = [CANDIDATE_550, CANDIDATE_8315, np.zeros((3, 3)), np.diag([2.0, 2.0, -1.0])]
+        for t in members:
+            verdict = compute_spectral_data(t)
+            assert verdict.reason.startswith(EXACTLY_REPEATED)
+            assert verdict.pair is None and verdict.gap is None
+        data, skipped = compute_spectral_data(np.array(members))
+        assert len(data.lambdas) == 0 and all(s.reason.startswith(EXACTLY_REPEATED)
+                                              for s in skipped)
+        assert calls == []
+
+    @pytest.mark.parametrize("t, decided", [
+        (CANDIDATE_550, True),
+        (CANDIDATE_550.conj(), True),          # imaginary parts -0.0
+        (2**40 * CANDIDATE_550, True),         # beyond int64's range: Python integers
+        (256 * CANDIDATE_8315, True),
+        (CANDIDATE_550 / 3, False),            # not integral
+        (1j * CANDIDATE_550, False),           # not real
+        (CANDIDATE_7, False),                  # distinct spectrum
+        (2**40 * CANDIDATE_7, False),
+        (np.eye(2), False),                    # not 3 x 3
+        (np.eye(4), False),
+    ], ids=["550", "550-conj", "550-2**40", "8315-256", "550/3", "550-imaginary", "7",
+            "7-2**40", "eye-2", "eye-4"])
+    def test_decides_real_integer_3x3_input_only(self, t, decided):
+        assert gated(t) is decided
+
+    def test_discriminant_is_the_product_of_squared_gaps(self):
+        # M = S diag(d) S^-1 with S unimodular is an integer matrix with
+        # spectrum d, so its discriminant is prod (d_i - d_j)**2 over i < j.
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            lower = np.eye(3, dtype=np.int64) + np.tril(rng.integers(-2, 3, (3, 3)), -1)
+            upper = np.eye(3, dtype=np.int64) + np.triu(rng.integers(-2, 3, (3, 3)), 1)
+            s = upper @ lower
+            s_inv = np.rint(np.linalg.inv(s)).astype(np.int64)
+            assert (s @ s_inv == np.eye(3)).all()
+            d = rng.integers(-4, 5, 3)
+            m = s @ np.diag(d) @ s_inv
+            a, b, c = d.tolist()
+            assert spectral._discriminant(*m.ravel().tolist()) == ((a - b) * (a - c) * (b - c)) ** 2
+            assert gated(m) is (len(set(d.tolist())) < 3)
+
+    def test_int64_batch_matches_python_integers(self):
+        # Entries up to 255 in magnitude, the batch's range, at its extremes too.
+        rng = np.random.default_rng(32)
+        m = np.concatenate([rng.integers(-255, 256, (1000, 9)),
+                            255 * rng.choice([-1, 1], (1000, 9))])
+        assert spectral._discriminant(*m.T).tolist() == [
+            spectral._discriminant(*row) for row in m.tolist()]
 
 
 class TestAssertDistinctSpectrum:
