@@ -5,14 +5,15 @@ Hunting for necessary-test-blind matrices
 A "hit" is a matrix that passes Angle, Grammian and Parallelepiped but
 fails the triple-product test -- the phenomenon the 4x4 counterexample
 exhibits.  Hits are exceedingly rare: scans of random 3x3 integer
-matrices find none.  The harness is deterministic per seed, so any hit
-it ever reports can be replayed exactly.
+matrices find none, while 4x4 sign matrices (entries in {-1, 0, 1}) hold
+a few.  The harness is deterministic per seed, so any hit it ever
+reports can be replayed exactly.
 """
 
 import tempfile
 from pathlib import Path
 
-from uecsm import classify, find_fixture, run_search
+from uecsm import classify, run_search
 from uecsm.documents import MatrixDocument, parse_matrix_document, serialize_matrix_document
 
 # A modest desk-scale scan (the acceptance suite runs 100000).
@@ -24,20 +25,20 @@ print("uecsm:          ", result.uecsm)
 print("not uecsm:      ", result.not_uecsm)
 print("hits:           ", len(result.hits))
 
-# Plant the known 4x4 counterexample among the candidates to see the
-# full reporting path fire.
-planted = find_fixture("strong-angle-counterexample").matrix()
-result = run_search(50, dim=4, seed=0, inject=(planted,))
-print("\nwith a planted counterexample:", len(result.hits), "hit(s)")
+# The 4x4 sign-matrix stream of seed 3 holds three hits among its first
+# 4000 candidates.
+result = run_search(4000, dim=4, entry_low=-1, entry_high=1, seed=3)
+print("\n4x4 sign matrices:", len(result.hits), "hit(s) at",
+      [h.index for h in result.hits])
 
 hit = result.hits[0]
-print("hit index:", hit.index)
+print("first hit:")
 print(hit.matrix.real.astype(int))
 
 # Every hit re-verifies: write it out as a matrix document, read it back,
 # and classify it again.
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "hit-000000.json"
+    path = Path(tmp) / f"hit-{hit.index:06d}.json"
     doc = MatrixDocument.from_matrix(hit.matrix, label="replayed-hit")
     path.write_text(serialize_matrix_document(doc))
     replayed = parse_matrix_document(path.read_text())

@@ -33,7 +33,7 @@ from .documents import (
     serialize_matrix_document,
     serialize_report_document,
 )
-from .fixtures import FIXTURE_GROUPS, find_fixture
+from .fixtures import FIXTURE_GROUPS
 from .linalg import LinearAlgebraError, ToleranceConfig
 from .oracle import (
     OracleOutcome,
@@ -168,26 +168,12 @@ def cmd_classify(args) -> int:
     return _FINAL_EXIT[report.final]
 
 
-def _resolve_inject(token: str) -> np.ndarray:
-    try:
-        return find_fixture(token).matrix()
-    except KeyError:
-        pass
-    return parse_matrix_document(_read_text(token)).matrix()
-
-
 def cmd_search(args) -> int:
-    try:
-        cfg = _config_from_args(args)
-        inject = tuple(_resolve_inject(token) for token in args.inject)
-    except (DocumentError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     low, high = args.entry_range
     try:
         result = run_search(
             count=args.count, dim=args.dim, entry_low=low, entry_high=high,
-            seed=args.seed, cfg=cfg, inject=inject, workers=args.workers,
+            seed=args.seed, cfg=_config_from_args(args), workers=args.workers,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -296,10 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--out-dir", default="hits",
                           help="directory for hit matrix documents")
-    p_search.add_argument("--inject", action="append", default=[],
-                          metavar="LABEL_OR_PATH",
-                          help="plant a fixture label or matrix document as an "
-                               "early candidate (repeatable)")
     p_search.add_argument("--json", default=None, metavar="PATH",
                           help="write a JSON summary here")
     _add_tolerance_args(p_search)

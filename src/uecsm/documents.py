@@ -88,10 +88,16 @@ def _is_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(_is_real, value))
 
 
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
 def _encode(value):
     """JSON tree of ``value``: complex scalars and arrays become [re, im]
     pairs, tuples become lists, dataclasses become objects keyed by field in
-    declaration order, and enums become their value."""
+    declaration order, and enums become their value.  A scalar of an exact
+    JSON type returns at once; str enums and numpy scalars do not."""
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, complex):

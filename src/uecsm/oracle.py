@@ -313,13 +313,14 @@ def brute_force_uecsm(
     """Multi-start orbit descent; deterministic for a given seed.
 
     Restart r starts at the identity for r = 0 and otherwise at a random
-    unitary drawn from stream r of one master SeedSequence.  Restart 0 runs
-    alone; then restarts [1, 8), [8, 16), ... below ``restarts`` run as one
-    stacked descent each, and no further stack runs once a restart has
-    certified membership.  The verdict counts the restarts up to the first
-    that certified (all of them if none did), and the best residual among
-    them, so it is the one the restarts would give run one at a time and
-    stopped at the first certificate.
+    unitary drawn from child r of ``SeedSequence(seed)``, built as
+    ``SeedSequence(seed, spawn_key=(r,))`` only when its stack runs.
+    Restart 0 runs alone; then restarts [1, 8), [8, 16), ... below
+    ``restarts`` run as one stacked descent each, and no further stack runs
+    once a restart has certified membership.  The verdict counts the
+    restarts up to the first that certified (all of them if none did), and
+    the best residual among them, so it is the one the restarts would give
+    run one at a time and stopped at the first certificate.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -332,7 +333,6 @@ def brute_force_uecsm(
     if n == 1 or not a.any():
         return OracleVerdict(OracleOutcome.UECSM, 0.0, 0)
     t_norm = float(np.linalg.norm(a))
-    streams = np.random.SeedSequence(seed).spawn(restarts)
     # Aim below the certification line with margin; sqrt(2 h) / ||T|| is the
     # reported residual.
     f_floor = 0.5 * (0.5 * ORACLE_TOL * t_norm) ** 2
@@ -342,7 +342,8 @@ def brute_force_uecsm(
         if best <= ORACLE_TOL:
             break
         q0 = np.array([np.eye(n, dtype=np.complex128) if r == 0
-                       else random_unitary(n, np.random.default_rng(streams[r]))
+                       else random_unitary(n, np.random.default_rng(
+                           np.random.SeedSequence(seed, spawn_key=(r,))))
                        for r in range(lo, hi)])
         for f in _descend(a, q0, f_floor):
             best, used = min(best, math.sqrt(2.0 * f) / t_norm), used + 1

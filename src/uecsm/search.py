@@ -10,17 +10,17 @@ so the stream of candidates is reproducible and identical no matter how the
 index range is split across workers, and a block of candidates is one
 ``advance`` and one draw.  Hit lists are canonicalized by candidate index.
 
-Candidates are decided in blocks, one stacked ``classify`` call per block;
-a planted candidate is a block of one.  The counts and the hits come from
-the arrays of final verdicts and test outcomes that ``classify`` returns on
-a stack; no report and no certificate are built for a candidate, so a UECSM
-count is a count of StrongAngle passes.  Candidates whose spectrum is
-repeated are skipped (counted as not applicable): exactly so at n = 3,
-where the discriminant decides, and at working precision otherwise.  The
-rare candidate that triggers a numerical breakdown inside the eigensystem
-is counted and skipped rather than aborting a long search: the stack
-records it, as it records a NotApplicable.  Only a block whose stacked call
-fails as a whole is decided again, one candidate at a time.
+Candidates are decided in blocks, one stacked ``classify`` call per block.
+The counts and the hits come from the arrays of final verdicts and test
+outcomes that ``classify`` returns on a stack; no report and no certificate
+are built for a candidate, so a UECSM count is a count of StrongAngle
+passes.  Candidates whose spectrum is repeated are skipped (counted as not
+applicable): exactly so at n = 3, where the discriminant decides, and at
+working precision otherwise.  The rare candidate that triggers a numerical
+breakdown inside the eigensystem is counted and skipped rather than
+aborting a long search: the stack records it, as it records a
+NotApplicable.  Only a block whose stacked call fails as a whole is decided
+again, one candidate at a time.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ import functools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .criteria import TEST_KINDS, FinalVerdict, Outcome, classify
-from .linalg import DEFAULT_TOLERANCES, LinearAlgebraError, ToleranceConfig, as_matrix
+from .linalg import DEFAULT_TOLERANCES, LinearAlgebraError, ToleranceConfig
 
 # A block holds at most this many matrix entries (227 candidates at n = 3,
 # 128 at n = 4).  Larger blocks spread the fixed cost of a stacked call over
@@ -120,38 +119,22 @@ def _reports(stack: np.ndarray, start: int, cfg: ToleranceConfig
     return reports.final, reports.outcomes
 
 
-def _scan_range(indices: range, *, seed, dim, entry_low, entry_high,
-                cfg, inject) -> SearchResult:
+def _scan_range(indices: range, *, seed, dim, entry_low, entry_high, cfg) -> SearchResult:
     # Bounds, not len(): a range longer than 2**63 - 1 has no len().
     result = SearchResult(candidates=indices.stop - indices.start)
-    planted = range(indices.start, min(indices.stop, len(inject)))
-    stream = range(max(indices.start, len(inject)), indices.stop)
     size = max(1, _BLOCK_ENTRIES // (dim * dim))
-    blocks = chain((range(index, index + 1) for index in planted),
-                   (range(k, min(k + size, stream.stop))
-                    for k in range(stream.start, stream.stop, size)))
-    for block in blocks:
-        if block.start < len(inject):
-            stack = inject[block.start][None]
-        else:
-            stack = candidate_matrix(seed, block, dim, entry_low, entry_high)
-        final, outcomes = _reports(stack, block.start, cfg)
+    for start in range(indices.start, indices.stop, size):
+        block = range(start, min(start + size, indices.stop))
+        stack = candidate_matrix(seed, block, dim, entry_low, entry_high)
+        final, outcomes = _reports(stack, start, cfg)
         tally = Counter(final.tolist())
         result.breakdown += tally[""]
         result.not_applicable += tally[FinalVerdict.NOT_APPLICABLE.value]
         result.uecsm += tally[FinalVerdict.UECSM.value]
         result.not_uecsm += tally[FinalVerdict.NOT_UECSM.value]
-        result.hits.extend(SearchHit(index=block.start + k, matrix=stack[k].copy())
+        result.hits.extend(SearchHit(index=start + k, matrix=stack[k].copy())
                            for k in np.flatnonzero(_hits(outcomes)).tolist())
     return result
-
-
-def _planted(k: int, m) -> np.ndarray:
-    """``inject[k]`` as a square complex matrix, refused under its own name."""
-    try:
-        return as_matrix(m)
-    except ValueError as exc:
-        raise ValueError(f"inject[{k}]: {exc}") from None
 
 
 def run_search(
@@ -161,28 +144,23 @@ def run_search(
     entry_high: int = 9,
     seed: int = 0,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    inject: tuple[np.ndarray, ...] = (),
     workers: int = 1,
 ) -> SearchResult:
     """Classify ``count`` random candidates and collect the hits.
 
-    ``inject`` replaces the first ``len(inject)`` candidates with fixed
-    matrices (a test hook: a planted hit must be found regardless of seed),
-    each checked to be square and finite before any candidate is decided.
     Entries are drawn from [entry_low, entry_high], which must lie within
     [-2**53, 2**53], where complex128 holds every integer, so each
-    candidate is exactly the integers drawn.
-    Results are deterministic for fixed (seed, count, dim, range, inject)
-    and independent of ``workers``, which must be positive.  The range is
-    split into at most ``workers`` nonempty parts; a single part runs in
-    this process, several on at most one process per part and per CPU.
-    Each part is decided in blocks of at most ``_BLOCK_ENTRIES`` matrix
-    entries, one stacked ``classify`` per block; a block whose call fails as
-    a whole is decided one candidate at a time.  So a candidate's final
-    verdict is the one ``classify`` reaches on it alone before it builds a
-    certificate: UECSM means StrongAngle passes, and no S is built.  A
-    breakdown is a candidate whose eigensystem raises alone, recorded by
-    the stack.  Planted candidates are blocks of one.  ``seed`` is the
+    candidate is exactly the integers drawn.  Results are deterministic for
+    fixed (seed, count, dim, range) and independent of ``workers``, which
+    must be positive.  The range is split into at most ``workers`` nonempty
+    parts; a single part runs in this process, several on at most one
+    process per part and per CPU.  Each part is decided in blocks of at
+    most ``_BLOCK_ENTRIES`` matrix entries, one stacked ``classify`` per
+    block; a block whose call fails as a whole is decided one candidate at
+    a time.  So a candidate's final verdict is the one ``classify`` reaches
+    on it alone before it builds a certificate: UECSM means StrongAngle
+    passes, and no S is built.  A breakdown is a candidate whose
+    eigensystem raises alone, recorded by the stack.  ``seed`` is the
     Philox key, below 2**64, and the candidate index picks a counter range
     (see ``candidate_matrix``); ``count`` is at most 2**64, so every index
     fits one 64-bit word.
@@ -199,10 +177,9 @@ def run_search(
         raise ValueError("entry range must lie within [-2**53, 2**53]")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be nonnegative and below 2**64")
-    inject = tuple(_planted(k, m) for k, m in enumerate(inject))
 
     scan = functools.partial(_scan_range, seed=seed, dim=dim, entry_low=entry_low,
-                             entry_high=entry_high, cfg=cfg, inject=inject)
+                             entry_high=entry_high, cfg=cfg)
     n_parts = max(1, min(workers, count))
     bounds = [count * k // n_parts for k in range(n_parts + 1)]
     parts = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]

@@ -22,11 +22,15 @@ real routine, for T and for T*.  Each vector keeps the arbitrary
 unimodular phase it comes with; everything consumed downstream is
 phase-invariant or covariant in a controlled way, and tested for it.
 
-The hypothesis is decided exactly where that is cheap: a real 3 x 3 T with
-integer entries has a repeated eigenvalue exactly when the discriminant of
-its characteristic polynomial is zero, and such a T is NotApplicable
-before any LAPACK call, whatever rounding would make of it.  Every other
-input is judged at working precision, by the rules below.
+The hypothesis is decided exactly where that is cheap: a real 3 x 3 T has
+a repeated eigenvalue exactly when the discriminant of its characteristic
+polynomial is zero, and such a T is NotApplicable before any LAPACK call,
+at any scale and whatever rounding would make of it.  Every float is an
+integer over a power of two, so the discriminant is decided in integers:
+int64 for small integer entries, and otherwise Python integers for the
+members whose float64 discriminant lies within its rounding bound of
+zero.  Every other input is judged at working precision, by the rules
+below.
 
 Each matrix's paired data depends on that matrix alone, so a (B, n, n)
 stack runs as one: one LAPACK call per step for the whole stack (split by
@@ -189,14 +193,23 @@ def _gap_rule(lam, threshold, exponent) -> list[NotApplicable | None]:
 # in int64: the terms sum in absolute value to at most 4752 * 256**6 < 2**63.
 _INT64_EXPONENT = 8
 
+# On entries below 1 in magnitude, as ``power_of_two_rescale`` leaves them,
+# ``_discriminant`` evaluated on the entries' absolute values with every sign
+# + is at most 4752, and no path through it rounds more than 12 times: its
+# float64 value is within gamma_12 * 4752 < 1e-11 of the exact one,
+# gamma_12 = 12u / (1 - 12u), u = 2**-53 (an underflow adds at most 2**-1074
+# an operation).  A float64 discriminant past this screen is not zero.
+_SCREEN = 1e-9
+
 _EXACTLY_REPEATED = NotApplicable(
     reason="exactly repeated spectrum: the characteristic polynomial of the "
-           "integer matrix has discriminant 0")
+           "real 3 x 3 matrix has discriminant 0")
 
 
 def _discriminant(a, b, c, d, e, f, g, h, i):
     """The discriminant of det(x I - M), M = [[a, b, c], [d, e, f], [g, h, i]],
-    in the arithmetic of the entries (int64 arrays or Python integers): zero
+    in the arithmetic of the entries (int64 or float64 arrays, or Python
+    integers; only integers give it exactly): zero
     exactly when M has a repeated eigenvalue.  With p = x**3 - t x**2 + q x - r
     it is t**2 q**2 - 4 t**3 r + 18 t q r - 4 q**3 - 27 r**2."""
     minors = e * i - f * h, d * i - f * g, d * h - e * g
@@ -208,24 +221,30 @@ def _discriminant(a, b, c, d, e, f, g, h, i):
 
 def _exact_rule(a, exponent) -> list[NotApplicable | None]:
     """The exact gate on each member of the rescaled (B, n, n) stack ``a``,
-    with one exponent per member: a real 3 x 3 member whose entries are
-    integers in the units of T, 2**exponent times those of ``a``, is
-    NotApplicable when its characteristic polynomial has discriminant 0.
-    Members with every entry below 2**8 in magnitude get the discriminant
-    in int64 at once, the other integer members one by one in Python
-    integers."""
+    with one exponent per member: a real 3 x 3 member is NotApplicable when
+    its characteristic polynomial has discriminant 0.  Members whose entries
+    are integers below 2**8 in the units of T, 2**exponent times those of
+    ``a``, get it in int64 at once.  Every other real member is screened by
+    its float64 discriminant, and only one within ``_SCREEN`` of zero gets
+    it in Python integers, from its entries over their common power-of-two
+    denominator.  The rule reads the entries of ``a``, as every later step
+    does: those of T times 2**-exponent, exact unless one underflows."""
     if a.shape[-1] != 3:
         return [None] * len(a)
     real = ~a.imag.any(axis=(-2, -1))
     if not np.count_nonzero(real):
         return [None] * len(a)
-    t = np.ldexp(a.real.reshape(len(a), 9), exponent[:, None])    # in the units of T
-    integral = real & (t == np.rint(t)).all(axis=-1)
-    small = integral & (exponent <= _INT64_EXPONENT)
+    parts = a.real.reshape(len(a), 9)
+    t = np.ldexp(parts, exponent[:, None])    # in the units of T
+    small = real & (exponent <= _INT64_EXPONENT) & (t == np.rint(t)).all(axis=-1)
     repeated = np.zeros(len(a), dtype=bool)
     repeated[small] = _discriminant(*t[small].astype(np.int64).T) == 0
-    for b in np.flatnonzero(integral & ~small).tolist():
-        repeated[b] = _discriminant(*map(int, t[b].tolist())) == 0
+    rest = np.flatnonzero(real & ~small)
+    if len(rest):
+        for b in rest[np.abs(_discriminant(*parts[rest].T)) <= _SCREEN].tolist():
+            ratios = [x.as_integer_ratio() for x in parts[b].tolist()]
+            den = max(d for _, d in ratios)
+            repeated[b] = _discriminant(*(p * (den // d) for p, d in ratios)) == 0
     return [_EXACTLY_REPEATED if r else None for r in repeated.tolist()]
 
 
@@ -259,9 +278,9 @@ def compute_spectral_data(
         SpectralData, tuple[NotApplicable | LinearAlgebraError | None, ...]]:
     """Compute the full paired eigensystem of ``t``, or NotApplicable.
 
-    NotApplicable covers four situations: a real 3 x 3 ``t`` with integer
-    entries has a characteristic polynomial of discriminant 0 (decided
-    exactly, before any LAPACK call); the sorted spectrum violates the gap
+    NotApplicable covers four situations: a real 3 x 3 ``t`` has a
+    characteristic polynomial of discriminant 0 (decided exactly, before
+    any LAPACK call); the sorted spectrum violates the gap
     tolerance; the adjoint's computed spectrum fails to pair with the
     conjugated eigenvalues within half the gap threshold; or some
     |<u_i, v_i>| falls below zero_tol (spectrum effectively degenerate at

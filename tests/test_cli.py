@@ -200,16 +200,16 @@ class TestClassify:
 
 
 class TestSearch:
-    def test_planted_hit_round_trips_through_classify(self, tmp_path, capsys):
+    def test_hit_round_trips_through_classify(self, tmp_path, capsys):
+        # Candidate 508 of the 4 x 4 [-1, 1] stream of seed 3 is its first hit.
         out_dir = tmp_path / "hits"
         summary = tmp_path / "summary.json"
-        code = main(["search", "--count", "3",
-                     "--inject", "strong-angle-counterexample",
-                     "--out-dir", str(out_dir), "--json", str(summary)])
+        code = main(["search", "--count", "600", "--dim", "4", "--entry-range", "-1", "1",
+                     "--seed", "3", "--out-dir", str(out_dir), "--json", str(summary)])
         assert code == 0
         data = json.loads(summary.read_text())
-        assert data["hit_indices"] == [0]
-        hit_path = out_dir / "hit-000000.json"
+        assert data["hit_indices"] == [508]
+        hit_path = out_dir / "hit-000508.json"
         assert hit_path.exists()
         capsys.readouterr()
         # Every reported hit must re-verify as a strong-angle failure.
@@ -218,10 +218,8 @@ class TestSearch:
         assert "StrongAngle     Fail" in out
         assert "Angle           Pass" in out
 
-    def test_injected_member_is_not_a_hit(self, tmp_path, capsys):
-        doc_path = write_doc(tmp_path, "closed-form-s")
-        code = main(["search", "--count", "2", "--inject", str(doc_path),
-                     "--out-dir", str(tmp_path / "hits")])
+    def test_no_hit_makes_no_hit_directory(self, tmp_path, capsys):
+        code = main(["search", "--count", "50", "--out-dir", str(tmp_path / "hits")])
         assert code == 0
         out = capsys.readouterr().out
         assert "hits: 0" in out
@@ -277,21 +275,15 @@ class TestSearch:
     def test_summary_is_one_line(self, tmp_path, capsys):
         summary = tmp_path / "s.json"
         out_dir = tmp_path / "hits"
-        assert main(["search", "--count", "50", "--seed", "3",
-                     "--inject", "strong-angle-counterexample",
-                     "--out-dir", str(out_dir), "--json", str(summary)]) == 0
+        assert main(["search", "--count", "600", "--dim", "4", "--entry-range", "-1", "1",
+                     "--seed", "3", "--out-dir", str(out_dir), "--json", str(summary)]) == 0
         text = summary.read_text()
         assert text.endswith("}\n") and text.count("\n") == 1
         assert json.loads(text) == {
-            "format_version": 1, "seed": 3, "count": 50, "dim": 3,
-            "entry_range": [-9, 9], "not_applicable": 0, "breakdown": 0,
-            "uecsm": 0, "not_uecsm": 50, "hit_indices": [0],
-            "hit_files": [str(out_dir / "hit-000000.json")]}
-
-    def test_unknown_inject_label(self, tmp_path, capsys):
-        code = main(["search", "--count", "1", "--inject", "/missing.json",
-                     "--out-dir", str(tmp_path)])
-        assert code == EXIT_BAD_INPUT
+            "format_version": 1, "seed": 3, "count": 600, "dim": 4,
+            "entry_range": [-1, 1], "not_applicable": 94, "breakdown": 4,
+            "uecsm": 38, "not_uecsm": 464, "hit_indices": [508],
+            "hit_files": [str(out_dir / "hit-000508.json")]}
 
 
 class TestFixtures:

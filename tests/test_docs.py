@@ -1,4 +1,5 @@
-"""The package docstring's example and README's ``>>>`` examples run as written."""
+"""The package exports what it lists, and the package docstring's example
+and README's ``>>>`` examples run as written."""
 
 import doctest
 import pathlib
@@ -7,6 +8,12 @@ import re
 import uecsm
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_export_resolves_once():
+    # A deleted name left in __all__ would break ``from uecsm import *``.
+    assert sorted(set(uecsm.__all__)) == sorted(uecsm.__all__)
+    assert [name for name in uecsm.__all__ if not hasattr(uecsm, name)] == []
 
 
 def test_package_docstring_example():

@@ -95,11 +95,11 @@ def test_report_ignores_memory_layout(seed, n, symmetric_core):
 
 # Sign matrices whose eigensystems break down alone: inverse iteration
 # stalls, except for the second at n = 4, which loses biorthogonality.  At
-# n = 3 it is half a sign matrix: the exact gate decides every 3 x 3
-# integer matrix with a repeated spectrum before it can break down.
-# test_breakdown_members_raise_alone asserts it.
+# n = 3 it is i times a sign matrix: the exact gate decides every real 3 x 3
+# matrix with a repeated spectrum before it can break down, and no complex
+# one.  test_breakdown_members_raise_alone asserts it.
 BREAKDOWNS = {
-    3: [[[-0.5, -0.5, -0.5], [-0.5, -0.5, -0.5], [0, 0.5, 0]]],
+    3: [[[-1j, -1j, -1j], [-1j, 0, -1j], [-1j, 1j, -1j]]],
     4: [[[0, -1, -1, 0], [-1, 0, -1, -1], [-1, 1, 1, 0], [1, 0, 0, 0]],
         [[-1, -1, 1, 1], [0, -1, 0, 1], [0, -1, 1, 1], [1, 0, -1, 0]]],
     5: [[[0, 0, -1, -1, 0], [-1, -1, 0, -1, -1], [1, -1, 0, -1, -1], [-1, 1, 0, -1, 0],

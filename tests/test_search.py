@@ -233,6 +233,15 @@ class TestSignGrid:
         for variant in (np.roll(stack, 1, axis=(-2, -1)), stack.swapaxes(-1, -2), -stack):
             assert _reports(variant, 0, DEFAULT_TOLERANCES)[0].tolist() == final.tolist()
 
+    @pytest.mark.parametrize("scale", [1 / 2, 1 / 3], ids=["half", "third"])
+    def test_scaled_grid_gets_the_integer_verdict(self, scale):
+        # Every 10th matrix of the sign grid, scaled: the exact gate decides
+        # each repeated spectrum at any scale, and every final verdict is the
+        # integer grid's, with no breakdown.
+        grid = SIGN_GRID[::10]
+        final, _ = _reports(grid, 0, DEFAULT_TOLERANCES)
+        assert _reports(scale * grid, 0, DEFAULT_TOLERANCES)[0].tolist() == final.tolist()
+
     def test_candidate_15768_is_decided_by_the_exact_gate(self):
         assert discriminants(CANDIDATE_15768[None]).tolist() == [0]
         report = classify(CANDIDATE_15768)
@@ -283,8 +292,6 @@ class TestRunSearch:
         del calls[:]
         assert run_search(300, dim=4, entry_low=-1, entry_high=1, seed=3).breakdown == 2
         assert calls == [(k, (min(128, 300 - k), 4, 4)) for k in range(0, 300, 128)]
-        run_search(3, inject=(COUNTEREXAMPLE, BREAKDOWN, CLOSED_FORM))
-        assert [shape for _, shape in calls[3:]] == [(1, 4, 4), (1, 4, 4), (1, 3, 3)]
 
     def test_builds_no_report_objects(self, monkeypatch):
         # Counts and hits come from the stacked arrays: no report, verdict or
@@ -347,35 +354,25 @@ class TestRunSearch:
     def test_last_candidates_of_the_key_space(self):
         indices = range(2**64 - 3, 2**64)
         result = search._scan_range(indices, seed=0, dim=3, entry_low=-9, entry_high=9,
-                                    cfg=DEFAULT_TOLERANCES, inject=())
+                                    cfg=DEFAULT_TOLERANCES)
         assert result.candidates == 3
         assert (result.not_applicable + result.breakdown + result.uecsm
                 + result.not_uecsm) == 3
 
-    def test_injected_hit_is_found(self):
-        result = run_search(3, dim=4, inject=(COUNTEREXAMPLE,), seed=0)
-        assert len(result.hits) == 1
-        assert result.hits[0].index == 0
-        np.testing.assert_array_equal(result.hits[0].matrix, COUNTEREXAMPLE)
+    def test_stream_hit_is_found(self):
+        # Candidate 508 of the 4 x 4 [-1, 1] stream of seed 3 is its first hit.
+        result = run_search(600, dim=4, entry_low=-1, entry_high=1, seed=3)
+        assert [h.index for h in result.hits] == [508]
+        np.testing.assert_array_equal(result.hits[0].matrix,
+                                      candidate_matrix(3, 508, 4, -1, 1))
+        assert is_hit(result.hits[0].matrix)
 
-    def test_injected_member_is_not_a_hit(self):
-        result = run_search(2, inject=(CLOSED_FORM,), seed=0)
-        assert result.hits == []
-        assert result.uecsm >= 1
-
-    def test_injected_repeated_spectrum_counted(self):
-        result = run_search(1, inject=(np.diag([1.0, 1.0, 2.0]),))
-        assert result.not_applicable == 1
-
-    def test_injection_respected_under_workers(self):
-        result = run_search(40, dim=4, inject=(COUNTEREXAMPLE,), seed=0,
-                            workers=2)
-        assert [h.index for h in result.hits][:1] == [0]
-
-    def test_numerical_failure_counted_as_breakdown(self):
-        # Each planted candidate is decided as a stack of one; the one that
-        # raises counts as a breakdown.
-        result = run_search(3, inject=(COUNTEREXAMPLE, BREAKDOWN, CLOSED_FORM))
+    def test_numerical_failure_counted_as_breakdown(self, monkeypatch):
+        # A block of three candidates, one of which raises alone: it counts as
+        # a breakdown and the others keep their verdicts and hits.
+        block = np.array([COUNTEREXAMPLE, BREAKDOWN, MIXED[1]])
+        monkeypatch.setattr(search, "candidate_matrix", lambda *args: block)
+        result = run_search(3, dim=4)
         assert result.breakdown == 1
         assert (result.not_uecsm, result.uecsm) == (1, 1)
         assert [h.index for h in result.hits] == [0]
@@ -475,14 +472,3 @@ class TestRunSearch:
         assert stack.real.astype(np.int64).tolist() == [
             [row[k:k + 3] for k in (0, 3, 6)]
             for row in documented_map(0, range(3), 3, -2**53, 2**53)]
-
-    @pytest.mark.parametrize("m, message", [
-        (np.zeros((2, 3)), r"inject\[1\]: expected a square matrix, got shape \(2, 3\)"),
-        (np.array([[1.0, np.inf], [0.0, 1.0]]), r"inject\[1\]: matrix has non-finite entries"),
-    ], ids=["not-square", "non-finite"])
-    def test_planted_matrix_is_checked_up_front(self, monkeypatch, m, message):
-        decided = []
-        monkeypatch.setattr(search, "classify", lambda *args, **kwargs: decided.append(args))
-        with pytest.raises(ValueError, match=message):
-            run_search(2, inject=(CLOSED_FORM, m), workers=2)
-        assert decided == []

@@ -6,6 +6,9 @@ closed forms for the triangular reference matrix: (6/55, 1/10, 6/11) at
 eigenvalues (0, 1, 6).
 """
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -259,7 +262,7 @@ class TestPairAdjoint:
 class TestStack:
     @pytest.mark.parametrize("members, cfg", [
         # exact gate, repeated spectrum, adjoint pairing failure, applicable
-        ([CANDIDATE_550, np.diag([0.5, 0.5, 1.0]), find_fixture("table2-row3").matrix(),
+        ([CANDIDATE_550, np.diag([0.5, 0.5, 1j]), find_fixture("table2-row3").matrix(),
           family_member(-5), CANDIDATE_7],
          DEFAULT_TOLERANCES),
         # repeated spectrum, applicable, collapsed min |<u_i, v_i>|, applicable
@@ -415,7 +418,9 @@ class TestExactGate:
         (CANDIDATE_550.conj(), True),          # imaginary parts -0.0
         (2**40 * CANDIDATE_550, True),         # beyond int64's range: Python integers
         (256 * CANDIDATE_8315, True),
-        (CANDIDATE_550 / 3, False),            # not integral
+        # The rounded entries fl(k / 3) are not exactly proportional to k, and
+        # their discriminant is not 0.
+        (CANDIDATE_550 / 3, False),
         (1j * CANDIDATE_550, False),           # not real
         (CANDIDATE_7, False),                  # distinct spectrum
         (2**40 * CANDIDATE_7, False),
@@ -425,6 +430,29 @@ class TestExactGate:
             "7-2**40", "eye-2", "eye-4"])
     def test_decides_real_integer_3x3_input_only(self, t, decided):
         assert gated(t) is decided
+
+    @pytest.mark.parametrize("t, decided", [
+        (CANDIDATE_550 / 2, True),             # not integral: Python integers
+        (2**-1000 * CANDIDATE_8315, True),
+        (0.1 * np.diag([1.0, 1.0, 3.0]), True),
+        (CANDIDATE_7 / 3, False),
+    ], ids=["550/2", "8315-2**-1000", "diag-tenths", "7/3"])
+    def test_decides_real_3x3_input_at_any_scale(self, t, decided):
+        assert gated(t) is decided
+
+    def test_gate_is_the_exact_discriminant_of_real_input(self):
+        # Real Gaussian members, every 7th sign matrix over 3 (each exactly
+        # fl(1/3) times a sign matrix) and spectra one part in 2**40 from
+        # repeated: each is gated exactly when the discriminant of its
+        # entries, in Fractions, is 0.
+        rng = np.random.default_rng(33)
+        grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=9))).reshape(-1, 3, 3)
+        near = [np.diag([1.0, 1.0 + 2.0**-40, 3.0]) * s for s in (1.0, 0.1, 2.0**-600)]
+        members = [*rng.standard_normal((100, 3, 3)), *(grid[::7] / 3), *near]
+        decided = [gated(m) for m in members]
+        assert decided == [spectral._discriminant(*map(Fraction, m.ravel().tolist())) == 0
+                           for m in members]
+        assert 0 < sum(decided) < len(members) and not any(decided[-3:])
 
     def test_discriminant_is_the_product_of_squared_gaps(self):
         # M = S diag(d) S^-1 with S unimodular is an integer matrix with
