@@ -39,7 +39,6 @@ from .documents import (
     MatrixDocument,
     build_report_document,
     parse_matrix_document,
-    parse_report_document,
     serialize_matrix_document,
     serialize_report_document,
 )
@@ -84,7 +83,7 @@ __all__ = [
     "Witness", "angle_test", "classify", "gram_pair", "grammian_test",
     "parallelepiped_test", "strong_angle_test",
     "DocumentError", "MatrixDocument",
-    "build_report_document", "parse_matrix_document", "parse_report_document",
+    "build_report_document", "parse_matrix_document",
     "serialize_matrix_document", "serialize_report_document",
     "FIXTURE_GROUPS", "Fixture", "family_member", "find_fixture",
     "DEFAULT_TOLERANCES", "EigenSolverError", "LinearAlgebraError",

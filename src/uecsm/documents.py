@@ -1,10 +1,12 @@
 """File formats: matrix documents and classification report documents.
 
 Both formats are JSON with every complex number spelled as an explicit
-``[re, im]`` pair, so integer and decimal literals parse exactly and a
-serialized document parses back to an equal value.  Every real is finite:
-NaN and Infinity are neither read nor written.  ``format_version`` is
-checked on input; this module reads and writes version 1.
+``[re, im]`` pair, so integer and decimal literals parse exactly.  Every
+real is finite: NaN and Infinity are neither read nor written.  Matrix
+documents are read and written, and a serialized one parses back to an
+equal value; ``format_version`` is checked on input.  Report documents are
+only written: ``build_report_document`` returns the JSON tree and
+``json.loads(serialize_report_document(doc)) == doc``.  Both are version 1.
 
 A matrix document's entries are validated in one array pass: a sweep over
 the types of the numbers, one float conversion and one finiteness check.
@@ -24,16 +26,9 @@ from itertools import chain
 
 import numpy as np
 
-from .criteria import (
-    TEST_KINDS,
-    ClassificationReport,
-    FinalVerdict,
-    Outcome,
-    TestVerdict,
-    Witness,
-)
+from .criteria import ClassificationReport, TestVerdict, Witness
 from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix
-from .oracle import OracleOutcome, OracleVerdict
+from .oracle import OracleVerdict
 
 FORMAT_VERSION = 1
 
@@ -246,86 +241,3 @@ def build_report_document(
 
 def serialize_report_document(doc: dict) -> str:
     return _write(doc)
-
-
-# The parser checks a report against the schema below: each section is an
-# object whose keys map to checks that return False or raise DocumentError.
-
-def _list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
-
-
-def _optional(check):
-    return lambda value: value is None or check(value)
-
-
-def _one_of(values):
-    values = tuple(values)    # str enums compare equal to their values
-    return lambda value: isinstance(value, str) and value in values
-
-
-def _section(where: str, checks: dict):
-    def check(value) -> bool:
-        if not isinstance(value, dict):
-            raise DocumentError(f"{where} must be an object, got {value!r}")
-        for key, ok in checks.items():
-            if key not in value:
-                raise DocumentError(f"{where}: missing field {key!r}")
-            if not ok(value[key]):
-                raise DocumentError(f"{where} {key}: unexpected value {value[key]!r}")
-        return True
-    return check
-
-
-_WITNESS_CHECKS = {"indices": _list_of(_is_int), "left": _is_pair,
-                   "right": _is_pair, "discrepancy": _is_real}
-
-
-def _verdict(value) -> bool:
-    # The writer leaves the witness fields of a NotApplicable verdict null.
-    na = isinstance(value, dict) and value.get("outcome") == Outcome.NOT_APPLICABLE
-    return _section("verdict", {
-        "kind": _one_of(TEST_KINDS),
-        "outcome": _one_of(Outcome),
-        **{key: _optional(ok) if na else ok for key, ok in _WITNESS_CHECKS.items()},
-    })(value)
-
-
-_report = _section("report", {
-    "label": _optional(lambda value: isinstance(value, str)),
-    "n": lambda value: _is_int(value) and value > 0,
-    "seed": _is_int,
-    "tolerances": _section("tolerances", {
-        f.name: _is_real for f in fields(ToleranceConfig)}),
-    "final": _one_of(FinalVerdict),
-    "reason": _optional(lambda value: isinstance(value, str)),
-    "spectrum": _optional(_list_of(_is_pair)),
-    "verdicts": _list_of(_verdict),
-    "certificate": _optional(_section("certificate", {
-        "s": _list_of(_list_of(_is_pair)),
-        "alphas": _list_of(_is_pair),
-        **dict.fromkeys(("residual_symmetry", "residual_unitarity",
-                         "residual_intertwine", "residual_eigvec"), _is_real),
-        "beta_min_divisor": _optional(_is_real),
-    })),
-    "oracle": _optional(_section("oracle", {
-        "outcome": _one_of(OracleOutcome),
-        "best_residual": _is_real,
-        "restarts_used": _is_int,
-    })),
-})
-
-
-def parse_report_document(text: str) -> dict:
-    """Validate a report document against the schema above, tolerances
-    against ToleranceConfig, and return its JSON tree.  Null is accepted
-    only where the writer emits it.  ``parse(serialize(doc)) == doc``.
-    """
-    data = _load_json(text)
-    _check_version(data)
-    _report(data)
-    try:
-        ToleranceConfig(**data["tolerances"])
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"tolerances: {exc}") from exc
-    return data

@@ -23,12 +23,16 @@ from uecsm.cli import (
     EXIT_UECSM,
     main,
 )
+from uecsm.criteria import classify
 from uecsm.documents import (
     MatrixDocument,
-    parse_report_document,
+    build_report_document,
+    parse_matrix_document,
     serialize_matrix_document,
+    serialize_report_document,
 )
 from uecsm.fixtures import find_fixture
+from uecsm.linalg import DEFAULT_TOLERANCES, ToleranceConfig
 
 
 def write_doc(tmp_path, label, name="matrix.json"):
@@ -36,6 +40,13 @@ def write_doc(tmp_path, label, name="matrix.json"):
     path = tmp_path / name
     path.write_text(serialize_matrix_document(doc))
     return path
+
+
+def expected_report(path, cfg=DEFAULT_TOLERANCES):
+    """The report document ``classify --json`` writes for ``path`` at seed 0."""
+    doc = parse_matrix_document(path.read_text())
+    return build_report_document(classify(doc.matrix(), cfg), n=doc.n,
+                                 label=doc.label, cfg=cfg, seed=0)
 
 
 class TestClassify:
@@ -132,7 +143,8 @@ class TestClassify:
         out_path = tmp_path / "report.json"
         assert main(["classify", str(path), "--json", str(out_path)]) \
             == EXIT_NOT_UECSM
-        doc = parse_report_document(out_path.read_text())
+        doc = json.loads(out_path.read_text())
+        assert doc == expected_report(path)
         assert doc["final"] == "NotUECSM"
         assert doc["label"] == "strong-angle-counterexample"
 
@@ -140,7 +152,10 @@ class TestClassify:
         path = write_doc(tmp_path, "closed-form-s")
         assert main(["classify", str(path), "--json", "-"]) == EXIT_UECSM
         out = capsys.readouterr().out
-        doc = parse_report_document(out)     # no human text mixed in
+        expected = expected_report(path)
+        assert out == serialize_report_document(expected)    # no human text mixed in
+        doc = json.loads(out)
+        assert doc == expected
         assert doc["final"] == "UECSM"
         assert doc["certificate"] is not None
 
@@ -170,7 +185,9 @@ class TestClassify:
         assert "warning: UECSM verdict is not certified" in captured.err
         assert "match_tol" in captured.err
         if json_out:
-            assert parse_report_document(captured.out)["final"] == "UECSM"
+            doc = json.loads(captured.out)
+            assert doc == expected_report(path, ToleranceConfig(zero_tol=1e-13))
+            assert doc["final"] == "UECSM"
         else:
             assert "final: UECSM" in captured.out
 
@@ -367,6 +384,8 @@ class TestParser:
         argv = ["classify", str(path), "--json", "-", "--eig-gap-tol", "1e-6",
                 "--zero-tol", "1e-10", "--match-tol", "1e-8"]
         assert main(argv) == EXIT_UECSM
-        doc = parse_report_document(capsys.readouterr().out)
+        doc = json.loads(capsys.readouterr().out)
+        cfg = ToleranceConfig(eig_gap_tol=1e-6, zero_tol=1e-10, match_tol=1e-8)
+        assert doc == expected_report(path, cfg)
         assert doc["tolerances"] == {"eig_gap_tol": 1e-6, "zero_tol": 1e-10,
                                      "match_tol": 1e-8}

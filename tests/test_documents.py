@@ -2,10 +2,10 @@
 
 Every complex number is stored as an explicit [re, im] pair of JSON
 numbers, which round-trip exactly, so parse(serialize(x)) == x holds with
-plain equality for matrices and full reports alike.
+plain equality for matrices, and a report's JSON text loads back to the
+tree that was written.
 """
 
-import copy
 import json
 
 import numpy as np
@@ -20,7 +20,6 @@ from uecsm.documents import (
     MatrixDocument,
     build_report_document,
     parse_matrix_document,
-    parse_report_document,
     serialize_matrix_document,
     serialize_report_document,
 )
@@ -134,8 +133,6 @@ class TestMatrixParseErrors:
         text = '{"format_version": 1, "entries": [[[' + "1" * 5001 + ', 0]]]}'
         with pytest.raises(DocumentError):
             parse_matrix_document(text)
-        with pytest.raises(DocumentError):
-            parse_report_document(text)
 
     def test_bad_label_type(self):
         text = json.dumps({"format_version": 1, "label": 7,
@@ -185,58 +182,6 @@ def test_entry_rejection_message(entries, message):
     assert str(info.value) == message
 
 
-DELETE = object()
-
-# (path into the report payload, replacement value or DELETE); every one is
-# a document the parser must refuse.
-MUTATIONS = {
-    "format-version-bool": (("format_version",), True),
-    **{f"missing-{key}": ((key,), DELETE)
-       for key in ("label", "n", "seed", "tolerances", "final", "reason",
-                   "spectrum", "verdicts", "certificate", "oracle")},
-    "unknown-tolerance": (("tolerances", "zero_tolerance"), 1e-9),
-    "missing-verdict-key": (("verdicts", 0, "discrepancy"), DELETE),
-    "missing-certificate-key": (("certificate", "beta_min_divisor"), DELETE),
-    "missing-oracle-key": (("oracle", "restarts_used"), DELETE),
-    "bad-spectrum-pair": (("spectrum", 0), [1, 2, 3]),
-    "bad-left-pair": (("verdicts", 0, "left"), "1+2i"),
-    "bad-right-pair": (("verdicts", 3, "right"), [True, 0]),
-    "bad-s-pair": (("certificate", "s", 1, 2), [1]),
-    "bad-alphas-pair": (("certificate", "alphas", 0), [1, None]),
-    "indices-not-iterable": (("verdicts", 0, "indices"), 5),
-    "negative-zero-tol": (("tolerances", "zero_tol"), -1.0),
-    "final-not-a-string": (("final",), 5),
-    "final-unknown": (("final",), "Maybe"),
-    "n-string": (("n",), "x"),
-    "n-zero": (("n",), 0),
-    "n-bool": (("n",), True),
-    "seed-string": (("seed",), "s"),
-    "seed-bool": (("seed",), False),
-    "label-number": (("label",), 3),
-    "reason-number": (("reason",), 7),
-    "outcome-null": (("verdicts", 0, "outcome"), None),
-    "kind-unknown": (("verdicts", 1, "kind"), "Volume"),
-    "indices-strings": (("verdicts", 0, "indices"), ["1", "2"]),
-    "left-null-in-pass": (("verdicts", 0, "left"), None),
-    "discrepancy-bool": (("verdicts", 2, "discrepancy"), True),
-    "discrepancy-null-in-pass": (("verdicts", 3, "discrepancy"), None),
-    "match-tol-bool": (("tolerances", "match_tol"), True),
-    "residual-string": (("certificate", "residual_unitarity"), "1e-9"),
-    "residual-null": (("certificate", "residual_symmetry"), None),
-    "beta-min-divisor-string": (("certificate", "beta_min_divisor"), "0.1"),
-    "oracle-outcome-unknown": (("oracle", "outcome"), "Perhaps"),
-    "best-residual-bool": (("oracle", "best_residual"), False),
-    "restarts-used-float": (("oracle", "restarts_used"), 1.5),
-    "verdicts-not-a-list": (("verdicts",), ""),
-    "s-not-a-list": (("certificate", "s"), {}),
-    "residual-beyond-float": (("certificate", "residual_symmetry"), 10 ** 400),
-    "spectrum-pair-beyond-float": (("spectrum", 0), [10 ** 400, 0]),
-    "tolerance-beyond-float": (("tolerances", "match_tol"), 10 ** 400),
-    "residual-nan": (("certificate", "residual_symmetry"), float("nan")),
-    "discrepancy-infinity": (("verdicts", 0, "discrepancy"), float("inf")),
-}
-
-
 def report_for(label, oracle=False, seed=0):
     m = find_fixture(label).matrix()
     report = classify(m, seed=seed)
@@ -255,21 +200,21 @@ def full_payload():
 class TestReportDocuments:
     def test_round_trip_with_certificate_and_oracle(self):
         doc = report_for("closed-form-s", oracle=True)
-        again = parse_report_document(serialize_report_document(doc))
+        again = json.loads(serialize_report_document(doc))
         assert again == doc
         assert again["certificate"] is not None
         assert again["oracle"] is not None
 
     def test_round_trip_negative_verdict(self):
         doc = report_for("necessary-tests-fail")
-        again = parse_report_document(serialize_report_document(doc))
+        again = json.loads(serialize_report_document(doc))
         assert again == doc
         assert again["certificate"] is None
         assert again["final"] == "NotUECSM"
 
     def test_round_trip_not_applicable(self):
         doc = report_for(TABLE3[0].label)
-        again = parse_report_document(serialize_report_document(doc))
+        again = json.loads(serialize_report_document(doc))
         assert again == doc
         assert again["spectrum"] is None
         assert again["reason"]
@@ -278,7 +223,7 @@ class TestReportDocuments:
         for label in ("family-s2", "family-s5", "strong-angle-counterexample",
                       "table2-row1", "table1-row3"):
             doc = report_for(label, seed=3)
-            assert parse_report_document(serialize_report_document(doc)) == doc
+            assert json.loads(serialize_report_document(doc)) == doc
 
     def test_serialized_form_is_json_with_version(self):
         payload = json.loads(serialize_report_document(report_for("family-s5")))
@@ -290,28 +235,8 @@ class TestReportDocuments:
         m = find_fixture("closed-form-s").matrix()
         cfg = ToleranceConfig(eig_gap_tol=1e-6, zero_tol=1e-8, match_tol=1e-5)
         doc = build_report_document(classify(m, cfg), n=3, cfg=cfg)
-        again = parse_report_document(serialize_report_document(doc))
+        again = json.loads(serialize_report_document(doc))
         assert ToleranceConfig(**again["tolerances"]) == cfg
-
-    @pytest.mark.parametrize("path, value", MUTATIONS.values(), ids=MUTATIONS.keys())
-    def test_malformed_report_rejected(self, full_payload, path, value):
-        payload = copy.deepcopy(full_payload)
-        *parents, key = path
-        section = payload
-        for step in parents:
-            section = section[step]
-        if value is DELETE:
-            del section[key]
-        else:
-            section[key] = value
-        with pytest.raises(DocumentError):
-            parse_report_document(json.dumps(payload))
-
-    def test_integer_beyond_float_is_refused_by_the_schema(self, full_payload):
-        payload = copy.deepcopy(full_payload)
-        payload["tolerances"]["match_tol"] = 10 ** 400
-        with pytest.raises(DocumentError, match="tolerances match_tol: unexpected value"):
-            parse_report_document(json.dumps(payload))
 
     def test_layout_pinned(self, full_payload):
         payload = full_payload
@@ -365,12 +290,6 @@ class TestReportDocuments:
         doc["oracle"] = {"loop": doc}
         with pytest.raises(ValueError, match="^Circular reference detected$"):
             serialize_report_document(doc)
-
-    def test_wrong_version_rejected(self):
-        payload = json.loads(serialize_report_document(report_for("family-s5")))
-        payload["format_version"] = 2
-        with pytest.raises(DocumentError):
-            parse_report_document(json.dumps(payload))
 
 
 class TestDocumentError:

@@ -249,6 +249,21 @@ class TestSignGrid:
         assert report.not_applicable.reason.startswith("exactly repeated spectrum")
 
 
+# Candidates of the dim-4 [-1, 1] stream of seed 0 whose characteristic
+# polynomial has discriminant exactly 0; no exact gate decides them at n = 4.
+DIM4_REPEATED = (9587, 16373, 19569, 25276, 31908, 33244, 34381, 34521, 37288)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND 61: at n = 4 an exactly repeated spectrum gets UECSM with a "
+    "certificate that fails is_valid(), worst residual 2.3e-2 to 27.7; "
+    "ROADMAP item 18 (exact gate) or item 19 (certified UECSM) mends it"))
+def test_dim4_repeated_spectra_get_no_uncertified_uecsm():
+    for index in DIM4_REPEATED:
+        report = classify(candidate_matrix(0, index, 4, -1, 1))
+        assert report.final is not FinalVerdict.UECSM or report.certificate.is_valid()
+
+
 class TestRunSearch:
     def test_deterministic(self):
         a = run_search(300, seed=2)
