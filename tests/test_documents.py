@@ -6,6 +6,7 @@ plain equality for matrices, and a report's JSON text loads back to the
 tree that was written.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -197,6 +198,19 @@ def full_payload():
     return json.loads(serialize_report_document(report_for("closed-form-s", oracle=True)))
 
 
+# (path into a report, replacement value, the refusal's message): a report
+# the writer cannot write, or whose tolerances configure no run when read
+# back, is refused.
+MALFORMED = {
+    "negative-zero-tol": (("tolerances", "zero_tol"), -1.0,
+                          "^zero_tol must be positive and finite, got -1.0$"),
+    "residual-nan": (("certificate", "residual_symmetry"), float("nan"),
+                     "^Out of range float values are not JSON compliant: nan$"),
+    "discrepancy-infinity": (("verdicts", 0, "discrepancy"), float("inf"),
+                             "^Out of range float values are not JSON compliant: inf$"),
+}
+
+
 class TestReportDocuments:
     def test_round_trip_with_certificate_and_oracle(self):
         doc = report_for("closed-form-s", oracle=True)
@@ -237,6 +251,17 @@ class TestReportDocuments:
         doc = build_report_document(classify(m, cfg), n=3, cfg=cfg)
         again = json.loads(serialize_report_document(doc))
         assert ToleranceConfig(**again["tolerances"]) == cfg
+
+    @pytest.mark.parametrize("path, value, message", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_report_rejected(self, full_payload, path, value, message):
+        payload = copy.deepcopy(full_payload)
+        *parents, key = path
+        section = payload
+        for step in parents:
+            section = section[step]
+        section[key] = value
+        with pytest.raises(ValueError, match=message):
+            ToleranceConfig(**json.loads(serialize_report_document(payload))["tolerances"])
 
     def test_layout_pinned(self, full_payload):
         payload = full_payload
