@@ -8,18 +8,18 @@ equal value; ``format_version`` is checked on input.  Report documents are
 only written: ``build_report_document`` returns the JSON tree and
 ``json.loads(serialize_report_document(doc)) == doc``.  Both are version 1.
 
-A matrix document's entries are validated in one array pass: a sweep over
-the types of the numbers, one float conversion and one finiteness check.
-Only a document that fails it is walked entry by entry, to name the first
-bad row or entry.  The writer is the standard library's encoder with
-allow_nan=False: a document is written on one line, and what the encoder
-refuses raises its error.
+A matrix document's entries are validated by one rule, ``_entry_parts``:
+a sweep over the types of the numbers, one float conversion and one
+finiteness check, in one array pass.  Only a document that fails it is
+walked, row by row and then entry by entry under the same rule, to name
+the first bad row or entry.  The writer is the standard library's encoder
+with allow_nan=False: a document is written on one line, and what the
+encoder refuses raises its error.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from itertools import chain
@@ -67,20 +67,6 @@ def _check_version(data: dict) -> None:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970    # the least integer that rounds past the float range
-
-
-def _is_real(value) -> bool:
-    """A finite JSON number: no bool, NaN, Infinity or integer past the float range."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return _is_int(value) and abs(value) < _FLOAT_LIMIT
-
-
-def _is_pair(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(map(_is_real, value))
 
 
 _PLAIN = frozenset((str, int, float, bool, type(None)))
@@ -148,7 +134,7 @@ def parse_matrix_document(text: str) -> MatrixDocument:
             if not isinstance(row, list) or len(row) != n:
                 raise DocumentError(f"row {i + 1} must have {n} entries (square matrix)")
             for j, v in enumerate(row):
-                if not _is_pair(v):
+                if _entry_parts([[v]]) is None:
                     raise DocumentError(f"entry ({i + 1}, {j + 1}): expected an "
                                         f"[re, im] number pair, got {v!r}")
     declared = data.get("n")

@@ -122,10 +122,11 @@ def power_of_two_rescale(m) -> tuple[np.ndarray, np.integer | np.ndarray]:
 
 
 def frobenius_norm(a: np.ndarray) -> np.ndarray:
-    """||a||_F of each matrix of a C-contiguous (..., n, n) array, with the
-    arithmetic ``np.linalg.norm`` applies to one matrix: a BLAS dot of the
-    real parts plus one of the imaginary parts."""
-    parts = a.reshape(a.shape[:-2] + (a.shape[-1] ** 2,)).view(np.float64)
+    """||a||_F of each matrix of a C-contiguous complex128 (..., n, m) array
+    (a vector as an (n, 1) column), with the arithmetic ``np.linalg.norm``
+    applies to one matrix: a BLAS dot of the real parts plus one of the
+    imaginary parts."""
+    parts = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],)).view(np.float64)
     re, im = parts[..., 0::2], parts[..., 1::2]
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
@@ -188,32 +189,24 @@ def eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unit_eigenvector(m, lam, cfg: ToleranceConfig = DEFAULT_TOLERANCES, *,
-                     start, scale=None
-                     ) -> np.ndarray | tuple[np.ndarray, list[EigenSolverError | None]]:
-    """Unit eigenvectors of ``m`` for the (accurate) eigenvalues ``lam``:
-    the columns of ``start``, normalized, each refined by inverse iteration
-    from itself if it misses the residual target.  The shift is perturbed by
-    1e-12 * ||m|| so the shifted system is ill-conditioned but not singular.
-    ``scale`` is ||m||_F, computed here if not given.  Each matrix is refined
-    and then checked: EigenSolverError if a residual stays above
-    zero_tol * ||m||.  One matrix returns its vectors or raises that error.
-    A (B, n, n) stack, with ``lam``, ``start`` and ``scale`` stacked alike,
-    returns ``(x, errors)``: errors[b] is the EigenSolverError matrix b
-    raises alone, or None, and x[b] its vectors, refined as far as they go.
+                     start, scale) -> tuple[np.ndarray, list[EigenSolverError | None]]:
+    """Unit eigenvectors of each matrix of the (B, n, n) stack ``m`` for its
+    (accurate) eigenvalues ``lam[b]``: the columns of ``start[b]``,
+    normalized, each refined by inverse iteration from itself if it misses
+    the residual target.  The shift is perturbed by 1e-12 * ||m[b]|| so the
+    shifted system is ill-conditioned but not singular.  ``scale[b]`` is
+    ||m[b]||_F.  Each matrix is refined and then checked, and the result is
+    ``(x, errors)``: errors[b] is the EigenSolverError of a residual that
+    stays above zero_tol * ||m[b]||, or None, and x[b] the vectors of
+    matrix b, refined as far as they go.  One matrix is a stack of one.
     """
     a = _square(m)
-    if a.ndim == 2:
-        (x,), (error,) = unit_eigenvector(
-            a[None], np.asarray(lam)[None], cfg, start=np.asarray(start)[None],
-            scale=None if scale is None else np.reshape(scale, 1))
-        if error is not None:
-            raise error
-        return x
+    if a.ndim != 3:
+        raise ValueError(f"expected a (B, n, n) stack, got shape {a.shape}")
     lam = np.asarray(lam, dtype=np.complex128)
     x = np.asarray(start, dtype=np.complex128)
     x = x / _column_norms(x)[:, None, :]
-    scale = (frobenius_norm(np.ascontiguousarray(a)) if scale is None
-             else np.asarray(scale, dtype=np.float64)).tolist()
+    scale = np.asarray(scale, dtype=np.float64).tolist()
     residual = _column_norms(a @ x - x * lam[:, None, :])
     errors = [None] * len(a)
     for b, (w, s) in enumerate(zip(residual.max(axis=-1).tolist(), scale)):
@@ -252,7 +245,7 @@ def _refine(a, lam, x, residual, target, scale) -> None:
             except np.linalg.LinAlgError:
                 perturb *= 1e3    # exactly singular shift: back off
                 continue
-            x[:, i] = y / np.linalg.norm(y)
-            residual[i] = np.linalg.norm(a @ x[:, i] - lam[i] * x[:, i])
+            x[:, i] = y / frobenius_norm(y[:, None])
+            residual[i] = frobenius_norm((a @ x[:, i] - lam[i] * x[:, i])[:, None])
             if residual[i] <= target[i]:
                 break

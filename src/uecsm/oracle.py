@@ -241,7 +241,7 @@ def _descend(t: np.ndarray, q: np.ndarray, f_floor: float) -> list[float]:
     start reaches, bit for bit, the value it reaches alone.
     """
     pos, weight = _basis(t.shape[0])[:2]
-    t_norm2 = float(np.linalg.norm(t)) ** 2
+    t_norm2 = float(frobenius_norm(t)) ** 2
     grad_floor = _GRAD_FLOOR * t_norm2 ** 2
     q = q.copy()    # accepted trial rows are written into q in place
     m = _orbit(q, t)
@@ -332,7 +332,7 @@ def brute_force_uecsm(
     n = a.shape[0]
     if n == 1 or not a.any():
         return OracleVerdict(OracleOutcome.UECSM, 0.0, 0)
-    t_norm = float(np.linalg.norm(a))
+    t_norm = float(frobenius_norm(a))
     # Aim below the certification line with margin; sqrt(2 h) / ||T|| is the
     # reported residual.
     f_floor = 0.5 * (0.5 * ORACLE_TOL * t_norm) ** 2
@@ -391,7 +391,7 @@ def tener_applicable(t, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[bool
     a, e = power_of_two_rescale(t)
     for name, part in zip(("Hermitian part", "skew part"), cartesian_parts(a)):
         verdict = assert_distinct_spectrum(np.linalg.eigvalsh(part), cfg,
-                                           scale=np.linalg.norm(part), exponent=e)
+                                           scale=frobenius_norm(part), exponent=e)
         if verdict is not None:
             return False, f"{name}: {verdict.reason}"
     return True, "both Cartesian parts have distinct spectra"

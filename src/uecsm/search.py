@@ -58,6 +58,19 @@ class SearchResult:
     hits: list[SearchHit] = field(default_factory=list)
 
 
+def _check_stream(seed: int, dim: int, entry_low: int, entry_high: int) -> None:
+    """Refuse a stream that ``candidate_matrix`` cannot draw: dim below 1, an
+    empty entry range or one past int64, or a seed outside [0, 2**64)."""
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    if entry_low > entry_high:
+        raise ValueError("entry range is empty")
+    if not (-2**63 <= entry_low and entry_high < 2**63):
+        raise ValueError("entry range must lie within [-2**63, 2**63 - 1]")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be nonnegative and below 2**64")
+
+
 def candidate_matrix(seed: int, index: int | range, dim: int,
                      entry_low: int, entry_high: int) -> np.ndarray:
     """The ``index``-th integer candidate of the stream keyed by ``seed``; for
@@ -73,11 +86,14 @@ def candidate_matrix(seed: int, index: int | range, dim: int,
     ``advance`` and one draw, and gives the same candidates however the
     index range is cut.  The entries are complex128, which holds every
     integer only up to 2**53 in magnitude: a range within [-2**53, 2**53]
-    gives the drawn integers exactly, a wider one rounds them.
+    gives the drawn integers exactly, a wider one rounds them.  A dim below
+    1, an empty entry range or one past int64, or a seed or an index outside
+    [0, 2**64) raises ValueError.
     """
+    _check_stream(seed, dim, entry_low, entry_high)
     indices = index if isinstance(index, range) else range(index, index + 1)
-    if indices.step != 1:
-        raise ValueError("candidate indices must be consecutive")
+    if indices.step != 1 or not (0 <= indices.start and indices.stop <= 2**64):
+        raise ValueError("candidate indices must be consecutive and lie within [0, 2**64)")
     size = dim * dim
     steps = -(-size // 4)
     bits = np.random.Philox(key=seed)
@@ -167,16 +183,11 @@ def run_search(
     """
     if not 0 <= count <= 2**64:
         raise ValueError("count must be nonnegative and at most 2**64")
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    if entry_low > entry_high:
-        raise ValueError("entry range is empty")
     if not (-2**53 <= entry_low and entry_high <= 2**53):
         raise ValueError("entry range must lie within [-2**53, 2**53]")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be nonnegative and below 2**64")
+    _check_stream(seed, dim, entry_low, entry_high)
+    if workers < 1:
+        raise ValueError("workers must be positive")
 
     scan = functools.partial(_scan_range, seed=seed, dim=dim, entry_low=entry_low,
                              entry_high=entry_high, cfg=cfg)

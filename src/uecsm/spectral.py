@@ -25,12 +25,11 @@ phase-invariant or covariant in a controlled way, and tested for it.
 The hypothesis is decided exactly where that is cheap: a real 3 x 3 T has
 a repeated eigenvalue exactly when the discriminant of its characteristic
 polynomial is zero, and such a T is NotApplicable before any LAPACK call,
-at any scale and whatever rounding would make of it.  Every float is an
-integer over a power of two, so the discriminant is decided in integers:
-int64 for small integer entries, and otherwise Python integers for the
-members whose float64 discriminant lies within its rounding bound of
-zero.  Every other input is judged at working precision, by the rules
-below.
+at any scale and whatever rounding would make of it.  The float64
+discriminant screens every such T, and one within its rounding bound of
+zero is decided in Python integers: every float is an integer over a
+power of two.  Every other input is judged at working precision, by the
+rules below.
 
 Each matrix's paired data depends on that matrix alone, so a (B, n, n)
 stack runs as one: one LAPACK call per step for the whole stack (split by
@@ -188,11 +187,6 @@ def _gap_rule(lam, threshold, exponent) -> list[NotApplicable | None]:
     return verdicts
 
 
-# Exponents of ``power_of_two_rescale`` up to this one bound every entry
-# below 2**8 = 256 in magnitude, which keeps every term of ``_discriminant``
-# in int64: the terms sum in absolute value to at most 4752 * 256**6 < 2**63.
-_INT64_EXPONENT = 8
-
 # On entries below 1 in magnitude, as ``power_of_two_rescale`` leaves them,
 # ``_discriminant`` evaluated on the entries' absolute values with every sign
 # + is at most 4752, and no path through it rounds more than 12 times: its
@@ -208,10 +202,10 @@ _EXACTLY_REPEATED = NotApplicable(
 
 def _discriminant(a, b, c, d, e, f, g, h, i):
     """The discriminant of det(x I - M), M = [[a, b, c], [d, e, f], [g, h, i]],
-    in the arithmetic of the entries (int64 or float64 arrays, or Python
-    integers; only integers give it exactly): zero
-    exactly when M has a repeated eigenvalue.  With p = x**3 - t x**2 + q x - r
-    it is t**2 q**2 - 4 t**3 r + 18 t q r - 4 q**3 - 27 r**2."""
+    in the arithmetic of the entries (float64 arrays for the screen, Python
+    integers for the exact value): zero exactly when M has a repeated
+    eigenvalue.  With p = x**3 - t x**2 + q x - r it is
+    t**2 q**2 - 4 t**3 r + 18 t q r - 4 q**3 - 27 r**2."""
     minors = e * i - f * h, d * i - f * g, d * h - e * g
     t = a + e + i
     q = a * e - b * d + a * i - c * g + minors[0]
@@ -219,33 +213,24 @@ def _discriminant(a, b, c, d, e, f, g, h, i):
     return t * t * (q * q - 4 * t * r) + 18 * t * q * r - 4 * q * q * q - 27 * r * r
 
 
-def _exact_rule(a, exponent) -> list[NotApplicable | None]:
-    """The exact gate on each member of the rescaled (B, n, n) stack ``a``,
-    with one exponent per member: a real 3 x 3 member is NotApplicable when
-    its characteristic polynomial has discriminant 0.  Members whose entries
-    are integers below 2**8 in the units of T, 2**exponent times those of
-    ``a``, get it in int64 at once.  Every other real member is screened by
-    its float64 discriminant, and only one within ``_SCREEN`` of zero gets
-    it in Python integers, from its entries over their common power-of-two
-    denominator.  The rule reads the entries of ``a``, as every later step
-    does: those of T times 2**-exponent, exact unless one underflows."""
-    if a.shape[-1] != 3:
-        return [None] * len(a)
-    real = ~a.imag.any(axis=(-2, -1))
-    if not np.count_nonzero(real):
-        return [None] * len(a)
-    parts = a.real.reshape(len(a), 9)
-    t = np.ldexp(parts, exponent[:, None])    # in the units of T
-    small = real & (exponent <= _INT64_EXPONENT) & (t == np.rint(t)).all(axis=-1)
-    repeated = np.zeros(len(a), dtype=bool)
-    repeated[small] = _discriminant(*t[small].astype(np.int64).T) == 0
-    rest = np.flatnonzero(real & ~small)
-    if len(rest):
-        for b in rest[np.abs(_discriminant(*parts[rest].T)) <= _SCREEN].tolist():
+def _exact_rule(a) -> list[NotApplicable | None]:
+    """The exact gate on each member of the rescaled (B, n, n) stack ``a``: a
+    real 3 x 3 member is NotApplicable when its characteristic polynomial
+    has discriminant 0.  Every real member is screened by its float64
+    discriminant, and only one within ``_SCREEN`` of zero gets it in Python
+    integers, from its entries over their common power-of-two denominator.
+    The rule reads the entries of ``a``, as every later step does: those of
+    T over a power of two, exact unless one underflows."""
+    found = [None] * len(a)
+    real = np.flatnonzero(~a.imag.any(axis=(-2, -1))) if a.shape[-1] == 3 else ()
+    if len(real):
+        parts = a.real.reshape(len(a), 9)
+        for b in real[np.abs(_discriminant(*parts[real].T)) <= _SCREEN].tolist():
             ratios = [x.as_integer_ratio() for x in parts[b].tolist()]
             den = max(d for _, d in ratios)
-            repeated[b] = _discriminant(*(p * (den // d) for p, d in ratios)) == 0
-    return [_EXACTLY_REPEATED if r else None for r in repeated.tolist()]
+            if _discriminant(*(p * (den // d) for p, d in ratios)) == 0:
+                found[b] = _EXACTLY_REPEATED
+    return found
 
 
 def _pair_adjoint(lam, mu, half_gap, exponent) -> tuple[np.ndarray, list[NotApplicable | None]]:
@@ -336,7 +321,7 @@ def _paired_eigensystems(a, exponent, cfg: ToleranceConfig
         keep = np.array([f is None for f in found], dtype=bool)
         return [x[keep] for x in arrays]
 
-    found = _exact_rule(a, exponent)
+    found = _exact_rule(a)
     if any(found):
         a, exponent = drop(found, a, exponent)
     if not len(rows):

@@ -1,6 +1,6 @@
 """The package exports what it lists, uses every private helper it binds,
-and the package docstring's example and README's ``>>>`` examples run as
-written."""
+calls no second norm, and the package docstring's example and README's
+``>>>`` examples run as written."""
 
 import ast
 import doctest
@@ -36,6 +36,17 @@ def test_every_private_helper_is_used():
     text = "\n".join(sources)
     assert [name for name in sorted(private)
             if len(re.findall(rf"\b{name}\b", text)) < 2] == []
+
+
+def test_one_norm():
+    # frobenius_norm and _column_norms are the package's norms, each with the
+    # arithmetic of np.linalg.norm; a reference to that function in the code
+    # (not in a docstring) would be a second implementation of the rule.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and ast.unparse(node).endswith("linalg.norm")]
+    assert found == []
 
 
 def test_package_docstring_example():

@@ -14,9 +14,11 @@ from uecsm.linalg import (
     EigenSolverError,
     LinearAlgebraError,
     ToleranceConfig,
+    _column_norms,
     as_matrix,
     eigensystem,
     eigenvalues,
+    frobenius_norm,
     power_of_two_rescale,
     unit_eigenvector,
 )
@@ -115,6 +117,16 @@ class TestEigenvalues:
             assert values[b].tobytes() == eigenvalues(t).tobytes()
 
 
+def refine_one(a, lam, start):
+    """``unit_eigenvector`` on the stack of one matrix ``a``, given ||a||_F:
+    the matrix's vectors and its error."""
+    a = np.asarray(a, dtype=np.complex128)
+    (x,), (error,) = unit_eigenvector(a[None], np.asarray(lam)[None],
+                                      start=np.asarray(start)[None],
+                                      scale=[np.linalg.norm(a)])
+    return x, error
+
+
 class TestUnitEigenvector:
     def test_residual_near_machine_precision(self):
         rng = np.random.default_rng(3)
@@ -123,14 +135,16 @@ class TestUnitEigenvector:
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             scale = np.linalg.norm(a)
             lam, start = eigensystem(a)
-            x = unit_eigenvector(a, lam, start=start)
+            x, error = refine_one(a, lam, start)
+            assert error is None
             np.testing.assert_allclose(np.linalg.norm(x, axis=0), 1.0, atol=1e-13)
             assert np.linalg.norm(a @ x - x * lam, axis=0).max() <= 1e-12 * scale
 
     def test_start_on_target_is_only_normalized(self):
         a = np.diag([1.0, 2.0, 4.0])
         start = np.diag([3.0, -2j, 0.5]) + 1e-17
-        x = unit_eigenvector(a, [1.0, 2.0, 4.0], start=start)
+        x, error = refine_one(a, [1.0, 2.0, 4.0], start)
+        assert error is None
         assert np.array_equal(x, start / np.linalg.norm(start, axis=0))
 
     def test_perturbed_start_is_refined(self):
@@ -138,7 +152,8 @@ class TestUnitEigenvector:
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         lam, exact = eigensystem(a)
         start = exact + 1e-3 * rng.standard_normal((5, 5))
-        x = unit_eigenvector(a, lam, start=start)
+        x, error = refine_one(a, lam, start)
+        assert error is None
         assert np.linalg.norm(a @ x - x * lam, axis=0).max() <= 1e-12 * np.linalg.norm(a)
         # Each column stays on its own eigenline.
         overlap = np.abs(np.einsum("ki,ki->i", exact.conj(), x))
@@ -147,42 +162,73 @@ class TestUnitEigenvector:
     def test_stalled_column_raises(self):
         # An eigenvalue off by 1e-6 caps the residual far above zero_tol.
         a = np.diag([1.0, 2.0])
-        with pytest.raises(EigenSolverError, match="stalled"):
-            unit_eigenvector(a, [1.0, 2.0 + 1e-6], start=np.eye(2))
+        _, error = refine_one(a, [1.0, 2.0 + 1e-6], np.eye(2))
+        assert type(error) is EigenSolverError and "stalled" in str(error)
 
     def test_each_stalled_member_is_recorded(self):
         # Both members stall, each with its own message: a stack records
-        # each member's error as it raises alone, in either order, and keeps
-        # the vectors of a member that does not stall.
+        # each member's error as it gives it alone, in either order, and
+        # keeps the vectors of a member that does not stall.
         a = np.array([np.diag([1.0, 2.0])] * 3)
         lam = np.array([[1.0, 2.0 + 1e-6], [1.0 + 1e-5, 2.0], [1.0, 2.0]])
         messages = []
         for b in (0, 1):
-            with pytest.raises(EigenSolverError, match="stalled") as alone:
-                unit_eigenvector(a[b], lam[b], start=np.eye(2))
-            messages.append(str(alone.value))
+            _, error = refine_one(a[b], lam[b], np.eye(2))
+            assert "stalled" in str(error)
+            messages.append(str(error))
         messages.append(None)
         assert messages[0] != messages[1]
-        good = unit_eigenvector(a[2], lam[2], start=np.eye(2))
+        good, error = refine_one(a[2], lam[2], np.eye(2))
+        assert error is None
         for order in ([0, 1, 2], [2, 1, 0]):
-            x, errors = unit_eigenvector(a[order], lam[order], start=np.array([np.eye(2)] * 3))
+            x, errors = unit_eigenvector(a[order], lam[order], start=np.array([np.eye(2)] * 3),
+                                         scale=[np.linalg.norm(m) for m in a[order]])
             assert [None if e is None else str(e) for e in errors] == [
                 messages[b] for b in order]
             assert all(e is None or type(e) is EigenSolverError for e in errors)
             assert x[order.index(2)].tobytes() == good.tobytes()
 
     def test_zero_matrix_at_zero_eigenvalue(self):
-        x = unit_eigenvector(np.zeros((1, 1)), [0.0], start=[[2.0]])
+        x, error = refine_one(np.zeros((1, 1)), [0.0], [[2.0]])
+        assert error is None
         assert np.linalg.norm(x) == pytest.approx(1.0)
 
     def test_zero_matrix_at_nonzero_eigenvalue_raises(self):
-        with pytest.raises(EigenSolverError):
-            unit_eigenvector(np.zeros((2, 2)), [0.0, 1.0], start=np.eye(2))
+        _, error = refine_one(np.zeros((2, 2)), [0.0, 1.0], np.eye(2))
+        assert type(error) is EigenSolverError
 
     def test_wildly_wrong_eigenvalue_raises(self):
         a = np.diag([1.0, 2.0])
-        with pytest.raises(EigenSolverError):
-            unit_eigenvector(a, [1.0, 1000.0], start=np.eye(2))
+        _, error = refine_one(a, [1.0, 1000.0], np.eye(2))
+        assert type(error) is EigenSolverError
+
+    def test_one_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="stack"):
+            unit_eigenvector(np.eye(2), [1.0, 1.0], start=np.eye(2), scale=2.0**0.5)
+
+
+class TestNorms:
+    @pytest.mark.parametrize("n", [*range(1, 13), 32, 64])
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e150])
+    def test_bit_for_bit_np_linalg_norm(self, n, scale):
+        # The package's two norms replace np.linalg.norm on the same arrays
+        # and must give its bits: Gaussian matrices, one with signed zeros
+        # in both parts, and a zero matrix.
+        rng = np.random.default_rng(n)
+        a = scale * (rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n)))
+        a[1].real[rng.random((n, n)) < 0.5] = -0.0
+        a[1].imag[rng.random((n, n)) < 0.5] = -0.0
+        a[2] = -0.0
+        norms = frobenius_norm(a)
+        assert norms.shape == (4,)
+        for b in range(len(a)):
+            assert norms[b].tobytes() == np.linalg.norm(a[b]).tobytes()
+            y = a[b, :, 0].copy()
+            assert frobenius_norm(y[:, None]).tobytes() == np.linalg.norm(y).tobytes()
+        assert _column_norms(a).tobytes() == np.linalg.norm(a, axis=-2).tobytes()
+
+    def test_empty_stack(self):
+        assert frobenius_norm(np.empty((0, 3, 3), dtype=np.complex128)).shape == (0,)
 
 
 class TestPowerOfTwoRescale:

@@ -156,6 +156,20 @@ class TestCandidateMatrix:
         with pytest.raises(ValueError, match="consecutive"):
             candidate_matrix(0, range(0, 10, 2), 3, -9, 9)
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, -1, 3, -9, 9), r"lie within \[0, 2\*\*64\)"),
+        ((0, range(2**64 - 1, 2**64 + 1), 3, -9, 9), r"lie within \[0, 2\*\*64\)"),
+        ((0, 0, 0, -9, 9), "dim must be positive"),
+        ((2**64, 0, 3, -9, 9), "seed must be nonnegative"),
+        ((-1, 0, 3, -9, 9), "seed must be nonnegative"),
+        ((0, range(5), 3, 9, -9), "entry range is empty"),
+        ((0, 0, 3, -2**63 - 1, 0), "entry range must lie within"),
+    ], ids=["index--1", "index-2**64", "dim-0", "seed-2**64", "seed--1", "empty-range",
+            "range-past-int64"])
+    def test_refuses_what_the_stream_cannot_draw(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            candidate_matrix(*args)
+
     def test_streams_differ_across_indices_and_seeds(self):
         base = candidate_matrix(0, 0, 4, -9, 9)
         assert not np.array_equal(base, candidate_matrix(0, 1, 4, -9, 9))

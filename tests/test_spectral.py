@@ -255,8 +255,9 @@ class TestPairAdjoint:
         scale = np.linalg.norm(t)
         assert assert_distinct_spectrum(np.diag(t), cfg, scale=scale) is None
         shifts = np.conj([d / 2, d / 2, 0.7])
-        with pytest.raises(EigenSolverError, match="stalled"):
-            unit_eigenvector(t.conj().T, shifts, cfg, start=np.eye(3), scale=scale)
+        _, (error,) = unit_eigenvector(t.conj().T[None], shifts[None], cfg,
+                                       start=np.eye(3)[None], scale=[scale])
+        assert type(error) is EigenSolverError and "stalled" in str(error)
 
 
 class TestStack:
@@ -416,7 +417,7 @@ class TestExactGate:
     @pytest.mark.parametrize("t, decided", [
         (CANDIDATE_550, True),
         (CANDIDATE_550.conj(), True),          # imaginary parts -0.0
-        (2**40 * CANDIDATE_550, True),         # beyond int64's range: Python integers
+        (2**40 * CANDIDATE_550, True),         # decided at any scale
         (256 * CANDIDATE_8315, True),
         # The rounded entries fl(k / 3) are not exactly proportional to k, and
         # their discriminant is not 0.
@@ -429,6 +430,7 @@ class TestExactGate:
     ], ids=["550", "550-conj", "550-2**40", "8315-256", "550/3", "550-imaginary", "7",
             "7-2**40", "eye-2", "eye-4"])
     def test_decides_real_integer_3x3_input_only(self, t, decided):
+        # The gate decides every real 3 x 3 input; integer input is one case.
         assert gated(t) is decided
 
     @pytest.mark.parametrize("t, decided", [
@@ -470,13 +472,47 @@ class TestExactGate:
             assert spectral._discriminant(*m.ravel().tolist()) == ((a - b) * (a - c) * (b - c)) ** 2
             assert gated(m) is (len(set(d.tolist())) < 3)
 
-    def test_int64_batch_matches_python_integers(self):
-        # Entries up to 255 in magnitude, the batch's range, at its extremes too.
+    def test_gate_is_exact_on_integer_entries_up_to_255(self):
+        # Integer members with entries up to 255 in magnitude: random ones,
+        # every sign pattern of 255, lambda I + u (u x w)^t (a nilpotent
+        # part on a triple eigenvalue, whose float64 discriminant rounds away
+        # from 0 for large lambda), and unimodular similarities S X S^-1 of
+        # spectra with discriminant 0 or 4 and of the companion matrices of
+        # x**3 + x**2 + x and x**3 + x (discriminants -3 and -4).  No integer
+        # cubic has discriminant 1 or -1, so these are the least nonzero
+        # ones the gate must tell from 0.  Each member is gated exactly when
+        # its discriminant, in Fractions, is 0.
         rng = np.random.default_rng(32)
-        m = np.concatenate([rng.integers(-255, 256, (1000, 9)),
-                            255 * rng.choice([-1, 1], (1000, 9))])
-        assert spectral._discriminant(*m.T).tolist() == [
-            spectral._discriminant(*row) for row in m.tolist()]
+        signs = np.array(list(itertools.product((-1, 1), repeat=9)))
+        triple = []
+        while len(triple) < 200:
+            u, w = rng.integers(-2, 3, (2, 3))
+            m = rng.integers(-255, 256) * np.eye(3, dtype=np.int64) + np.outer(u, np.cross(u, w))
+            if np.abs(m).max() <= 255:
+                triple.append(m.ravel())
+        spectra = [np.diag(d) for d in ((2, 2, -1), (0, 0, 0), (-3, 4, 4), (0, 1, 2), (5, 6, 7))]
+        companions = [np.array([[0, 0, 0], [1, 0, -c1], [0, 1, -c2]]) for c1, c2 in ((1, 1), (1, 0))]
+        similar = []
+        while len(similar) < 400:
+            lower = np.eye(3, dtype=np.int64) + np.tril(rng.integers(-3, 4, (3, 3)), -1)
+            upper = np.eye(3, dtype=np.int64) + np.triu(rng.integers(-3, 4, (3, 3)), 1)
+            s = upper @ lower
+            s_inv = np.rint(np.linalg.inv(s)).astype(np.int64)
+            m = s @ [*spectra, *companions][len(similar) % 7] @ s_inv
+            if np.abs(m).max() <= 255:
+                similar.append(m.ravel())
+        members = np.concatenate([rng.integers(-255, 256, (1000, 9)), 255 * signs,
+                                  triple, similar])
+        exact = [spectral._discriminant(*map(Fraction, m)) for m in members.tolist()]
+        assert {abs(x) for x in exact[-400:]} == {0, 3, 4}
+        stack = members.reshape(-1, 3, 3).astype(np.complex128)
+        rounded = spectral._discriminant(*power_of_two_rescale(stack)[0].real.reshape(-1, 9).T)
+        assert np.count_nonzero(rounded[1512:1712])    # float64 alone would miss these
+        _, skipped = compute_spectral_data(stack)
+        decided = [isinstance(f, NotApplicable) and f.reason.startswith(EXACTLY_REPEATED)
+                   for f in skipped]
+        assert decided == [x == 0 for x in exact]
+        assert any(decided[1000:1512]) and not all(decided[1000:1512])
 
 
 class TestAssertDistinctSpectrum:
