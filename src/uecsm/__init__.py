@@ -12,87 +12,44 @@ criteria without ever computing an eigenvector.
 'UECSM'
 """
 
-from .conjugation import (
-    BetaInconsistencyError,
-    BetaMatrix,
-    ConjugationCertificate,
-    build_beta,
-    build_s,
-    complete_beta,
-    extract_alpha,
-    verify_certificate,
-)
-from .criteria import (
-    ClassificationReport,
-    FinalVerdict,
-    Outcome,
-    TestVerdict,
-    Witness,
-    angle_test,
-    classify,
-    grammian_test,
-    parallelepiped_test,
-    strong_angle_test,
-)
-from .documents import (
-    DocumentError,
-    MatrixDocument,
-    build_report_document,
-    parse_matrix_document,
-    serialize_matrix_document,
-    serialize_report_document,
-)
-from .fixtures import FIXTURE_GROUPS, Fixture, family_member, find_fixture
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    EigenSolverError,
-    LinearAlgebraError,
-    NumericalBreakdownError,
-    ToleranceConfig,
-    as_matrix,
-    eigensystem,
-    eigenvalues,
-    unit_eigenvector,
-)
-from .oracle import (
-    ORACLE_TOL,
-    OracleOutcome,
-    OracleVerdict,
-    brute_force_uecsm,
-    cartesian_parts,
-    nilpotent3_verdict,
-    random_unitary,
-    tener_applicable,
-)
-from .search import SearchHit, SearchResult, candidate_matrix, run_search
-from .spectral import (
-    NotApplicable,
-    SpectralData,
-    assert_distinct_spectrum,
-    compute_spectral_data,
-    gram_pair,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BetaInconsistencyError", "BetaMatrix", "ConjugationCertificate",
-    "build_beta", "build_s", "complete_beta", "extract_alpha",
-    "verify_certificate",
-    "ClassificationReport", "FinalVerdict", "Outcome", "TestVerdict",
-    "Witness", "angle_test", "classify", "gram_pair", "grammian_test",
-    "parallelepiped_test", "strong_angle_test",
-    "DocumentError", "MatrixDocument",
-    "build_report_document", "parse_matrix_document",
-    "serialize_matrix_document", "serialize_report_document",
-    "FIXTURE_GROUPS", "Fixture", "family_member", "find_fixture",
-    "DEFAULT_TOLERANCES", "EigenSolverError", "LinearAlgebraError",
-    "NumericalBreakdownError", "ToleranceConfig",
-    "as_matrix", "eigensystem", "eigenvalues", "unit_eigenvector",
-    "ORACLE_TOL", "OracleOutcome", "OracleVerdict", "brute_force_uecsm",
-    "cartesian_parts", "nilpotent3_verdict",
-    "random_unitary", "tener_applicable",
-    "SearchHit", "SearchResult", "candidate_matrix", "run_search",
-    "NotApplicable", "SpectralData", "assert_distinct_spectrum",
-    "compute_spectral_data",
-]
+# Each public name once, under the module that defines it.  ``import uecsm``
+# loads none of them (nor numpy): a name's module is imported on first use.
+_EXPORTS = {
+    "conjugation": ("BetaInconsistencyError", "BetaMatrix", "ConjugationCertificate",
+                    "build_beta", "build_s", "complete_beta", "extract_alpha",
+                    "verify_certificate"),
+    "criteria": ("ClassificationReport", "FinalVerdict", "Outcome", "TestVerdict",
+                 "Witness", "angle_test", "classify", "grammian_test",
+                 "parallelepiped_test", "strong_angle_test"),
+    "documents": ("DocumentError", "MatrixDocument", "build_report_document",
+                  "parse_matrix_document", "serialize_matrix_document",
+                  "serialize_report_document"),
+    "fixtures": ("FIXTURE_GROUPS", "Fixture", "family_member", "find_fixture"),
+    "linalg": ("DEFAULT_TOLERANCES", "EigenSolverError", "LinearAlgebraError",
+               "NumericalBreakdownError", "ToleranceConfig", "as_matrix",
+               "eigensystem", "eigenvalues", "unit_eigenvector"),
+    "oracle": ("ORACLE_TOL", "OracleOutcome", "OracleVerdict", "brute_force_uecsm",
+               "cartesian_parts", "nilpotent3_verdict", "random_unitary",
+               "tener_applicable"),
+    "search": ("SearchHit", "SearchResult", "candidate_matrix", "run_search"),
+    "spectral": ("NotApplicable", "SpectralData", "assert_distinct_spectrum",
+                 "compute_spectral_data", "gram_pair"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,6 +11,10 @@ exits 0 once the scan completes (hits are data, not an error), 3/4 on bad
 input or setup.  ``fixtures`` exits 0 when every replayed fixture matches
 its published verdict, 1 otherwise, and 3 on bad arguments.  An output
 path that cannot be written is bad input for every command.
+
+The oracle and search modules are imported only where they run: the
+oracle by ``classify --oracle`` and ``fixtures``, the search by ``search``.
+So a plain ``classify`` process loads neither.
 """
 
 from __future__ import annotations
@@ -35,13 +39,6 @@ from .documents import (
 )
 from .fixtures import FIXTURE_GROUPS
 from .linalg import LinearAlgebraError, ToleranceConfig
-from .oracle import (
-    OracleOutcome,
-    brute_force_uecsm,
-    nilpotent3_verdict,
-    tener_applicable,
-)
-from .search import run_search
 
 EXIT_UECSM = 0
 EXIT_NOT_UECSM = 1
@@ -128,6 +125,7 @@ def cmd_classify(args) -> int:
         report = classify(doc.matrix(), cfg)
         oracle = None
         if args.oracle:
+            from .oracle import OracleOutcome, brute_force_uecsm
             oracle = brute_force_uecsm(doc.matrix(), restarts=args.restarts,
                                        seed=args.seed)
     except LinearAlgebraError as exc:
@@ -169,6 +167,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import run_search
     low, high = args.entry_range
     try:
         result = run_search(
@@ -219,6 +218,7 @@ def _yes_no(flag: bool) -> str:
 
 def _fixture_checks(fx, cfg: ToleranceConfig, args):
     """(check, answer, expected, detail) rows replaying one fixture."""
+    from .oracle import OracleOutcome, brute_force_uecsm, nilpotent3_verdict, tener_applicable
     yield "classify", classify(fx.matrix(), cfg).final.value, fx.expected_final, ""
     if fx.nilpotent_ab is not None:
         verdict = nilpotent3_verdict(*fx.nilpotent_ab, cfg)

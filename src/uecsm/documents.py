@@ -15,6 +15,10 @@ walked, row by row and then entry by entry under the same rule, to name
 the first bad row or entry.  The writer is the standard library's encoder
 with allow_nan=False: a document is written on one line, and what the
 encoder refuses raises its error.
+
+A report document may carry an ``OracleVerdict``, but this module imports
+the oracle only for type checking: it encodes the verdict as any other
+dataclass, so writing a report loads no descent code.
 """
 
 from __future__ import annotations
@@ -23,12 +27,15 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .criteria import ClassificationReport, TestVerdict, Witness
 from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix
-from .oracle import OracleVerdict
+
+if TYPE_CHECKING:
+    from .oracle import OracleVerdict
 
 FORMAT_VERSION = 1
 

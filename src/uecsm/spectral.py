@@ -123,7 +123,7 @@ class SpectralData:
         n = lam.shape[0]
         if u.shape != (n, n) or v.shape != (n, n):
             raise ValueError("basis shapes do not match the eigenvalue count")
-        e = np.einsum("ki,ki->i", v.conj(), u)
+        e = (v.conj().T @ u).diagonal().copy()    # the rule compute_spectral_data uses
         return cls(lambdas=lam, u_basis=u, v_basis=v, e_diag=e)
 
     @functools.cached_property

@@ -339,25 +339,44 @@ class TestFixtures:
         assert info.value.code == EXIT_BAD_INPUT
 
 
-def packages_loaded_by_cli(package):
-    """Modules of ``package`` that ``import uecsm.cli`` loads, in a fresh
-    interpreter, so that modules imported by other tests do not count."""
+def modules_loaded_by(statements):
+    """The modules loaded once ``statements`` run in a fresh interpreter, so
+    that modules imported by other tests do not count."""
     src = str(Path(uecsm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, uecsm.cli; "
-            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
+    code = f"{statements}\nimport sys\nprint()\nprint(*sorted(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return out.strip()
+    return out.splitlines()[-1].split()
+
+
+def packages_loaded_by_cli(package):
+    """Modules of ``package`` that ``import uecsm.cli`` loads."""
+    return [m for m in modules_loaded_by("import uecsm.cli")
+            if m.split(".")[0] == package]
 
 
 class TestImport:
     def test_cli_loads_no_scipy(self):
-        assert packages_loaded_by_cli("scipy") == "[]"
+        assert packages_loaded_by_cli("scipy") == []
 
     def test_cli_loads_no_process_pool(self):
         # run_search imports the pool only when it splits a scan.
-        assert packages_loaded_by_cli("multiprocessing") == "[]"
+        assert packages_loaded_by_cli("multiprocessing") == []
+
+    def test_package_import_loads_no_module(self):
+        # Each public name's module is imported when the name is first used.
+        loaded = modules_loaded_by("import uecsm")
+        assert "uecsm" in loaded
+        assert [m for m in loaded if m.startswith("uecsm.") or m == "numpy"] == []
+
+    def test_plain_classify_loads_no_oracle_or_search(self, tmp_path):
+        path = write_doc(tmp_path, "closed-form-s")
+        loaded = modules_loaded_by(
+            "import uecsm.cli\n"
+            f"assert uecsm.cli.main(['classify', {str(path)!r}, '--json', '-']) == 0")
+        assert "uecsm.documents" in loaded
+        assert [m for m in loaded if m in ("uecsm.oracle", "uecsm.search")] == []
 
 
 class TestParser:

@@ -4,6 +4,7 @@ calls no second norm, and the package docstring's example and README's
 
 import ast
 import doctest
+import importlib
 import pathlib
 import re
 
@@ -18,6 +19,17 @@ def test_every_export_resolves_once():
     # A deleted name left in __all__ would break ``from uecsm import *``.
     assert sorted(set(uecsm.__all__)) == sorted(uecsm.__all__)
     assert [name for name in uecsm.__all__ if not hasattr(uecsm, name)] == []
+    # Each name is the very object of the module its table entry names, and
+    # is defined there rather than imported into it.
+    wrong = []
+    for module, names in uecsm._EXPORTS.items():
+        home = importlib.import_module(f"uecsm.{module}")
+        for name in names:
+            value = getattr(home, name)
+            if (getattr(uecsm, name) is not value
+                    or getattr(value, "__module__", home.__name__) != home.__name__):
+                wrong.append(name)
+    assert wrong == []
 
 
 def test_every_private_helper_is_used():

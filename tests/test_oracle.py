@@ -6,10 +6,15 @@ must equal Re tr(G* K).  The Newton model's gradient coordinates and
 Hessian are checked the same way against first and second differences of
 f(Q exp X) in the basis B_l = i (E_jk + E_kj).  Verdicts are checked
 against the published nilpotent table rows and their unitary conjugates.
+Derandomized hypothesis draws check that scaling T by a power of four
+changes no field of a verdict, and that transposition and a Haar frame
+keep its outcome wherever the best residual is clear of the band.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import uecsm.oracle as oracle
 from uecsm.fixtures import TABLE1, TABLE2, TABLE3, family_member
@@ -42,6 +47,18 @@ def constructed_uecsm(n, rng):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q = random_unitary(n, rng)
     return q @ (g + g.T) @ q.conj().T
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+ORACLE_PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
+
+
+def drawn_matrix(seed, n, constructed):
+    """A constructed UECSM input or a Ginibre one, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    if constructed:
+        return constructed_uecsm(n, rng)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def random_skew(n, rng):
@@ -425,6 +442,29 @@ class TestInvariance:
                     verdict = brute_force_uecsm(c * t, restarts=4)
                     assert verdict.outcome is expected.outcome
                     assert verdict.restarts_used == expected.restarts_used
+
+
+    @ORACLE_PROPERTY
+    @given(seed=SEEDS, n=st.sampled_from([3, 4]), constructed=st.booleans(),
+           k=st.integers(min_value=-6, max_value=6))
+    def test_verdict_identical_under_power_of_four_scaling(self, seed, n, constructed, k):
+        # power_of_two_rescale maps 4**k T to the very matrix it maps T to.
+        t = drawn_matrix(seed, n, constructed)
+        fields = [(v.outcome, v.best_residual.hex(), v.restarts_used)
+                  for v in (brute_force_uecsm(4.0**k * t, 8, seed),
+                            brute_force_uecsm(t, 8, seed))]
+        assert fields[0] == fields[1]
+
+    @ORACLE_PROPERTY
+    @given(seed=SEEDS, n=st.sampled_from([3, 4]), constructed=st.booleans())
+    def test_outcome_survives_transposition_and_a_haar_frame(self, seed, n, constructed):
+        t = drawn_matrix(seed, n, constructed)
+        verdict = brute_force_uecsm(t, 8, seed)
+        # A residual near the certification line may land on either side.
+        assume(verdict.best_residual <= 1e-7 or verdict.best_residual >= 1e-3)
+        q = random_unitary(n, np.random.default_rng([seed, 1]))
+        for variant in (t.T, q @ t @ q.conj().T):
+            assert brute_force_uecsm(variant, 8, seed).outcome is verdict.outcome
 
 
 class TestNilpotent3:

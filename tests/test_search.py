@@ -268,7 +268,7 @@ class TestSignGrid:
 DIM4_REPEATED = (9587, 16373, 19569, 25276, 31908, 33244, 34381, 34521, 37288)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(reason=(
     "FOUND 61: at n = 4 an exactly repeated spectrum gets UECSM with a "
     "certificate that fails is_valid(), worst residual 2.3e-2 to 27.7; "
     "ROADMAP item 18 (exact gate) or item 19 (certified UECSM) mends it"))

@@ -559,3 +559,14 @@ class TestFromBases:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             SpectralData.from_bases([1.0, 2.0], np.eye(3), np.eye(3))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
+    def test_e_diag_matches_compute_spectral_data_bit_for_bit(self, n):
+        # Both take e_i from the diagonal of V* U, so rebuilding the data of
+        # a computed eigensystem from its bases gives back its very bits.
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            sd = compute_spectral_data(t)
+            rebuilt = SpectralData.from_bases(sd.lambdas, sd.u_basis, sd.v_basis)
+            assert rebuilt.e_diag.tobytes() == sd.e_diag.tobytes()
